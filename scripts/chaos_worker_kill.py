@@ -1,14 +1,13 @@
 #!/usr/bin/env python
 """Chaos-smoke legs: kill workers mid-task and prove full recovery.
 
-Leg 1 (spool): spools every compact subproblem of a generated graph, starts a
-victim `repro worker` subprocess armed (via ``REPRO_FAULTS``) to stall forever
-inside its first task, SIGKILLs it once it holds a claim, then lets a
-surviving worker drain the spool.  The run passes only if the merged spool
-answer is exactly the sequential DCFastQC answer, the dead-letter directory is
-empty, and at least one task visibly went through the lease-reclaim machinery.
+Leg 1 (shard pool): arms the ``engine.subproblem`` fault site to SIGKILL a
+process-pool worker on its first subproblem, runs
+``ParallelDCFastQC(mode="shard")`` with one subproblem per pool task, and
+requires the broken pool to fall back to the sequential path with an answer
+identical to a clean sequential DCFastQC run.
 
-Leg 2 (branch-parallel): arms the same ``worker.task`` fault site to SIGKILL a
+Leg 2 (branch-parallel): arms the ``worker.task`` fault site to SIGKILL a
 work-stealing branch-parallel worker mid-task, runs
 ``ParallelDCFastQC(mode="branch")`` and requires the crash to fall back to the
 sequential path with an answer identical to a clean sequential run — and, the
@@ -21,13 +20,8 @@ Run from the repo root:  PYTHONPATH=src python scripts/chaos_worker_kill.py
 from __future__ import annotations
 
 import glob
-import os
 import random
-import signal
-import subprocess
 import sys
-import tempfile
-import time
 
 sys.path.insert(0, "src")
 
@@ -36,7 +30,6 @@ from repro.core.dcfastqc import DCFastQC
 from repro.extensions.parallel import ParallelDCFastQC
 from repro.extensions.stealing import SEGMENT_PREFIX
 from repro.resilience.faults import install_plan, reset_plan
-from repro.serve.worker import SpoolQueue, SpoolWorker, WorkTask
 from repro.settrie.filter import filter_non_maximal
 
 GAMMA, THETA = 0.85, 4
@@ -53,98 +46,55 @@ def _random_graph(seed: int = 11, vertices: int = 36, edges: int = 260) -> Graph
 
 
 def main() -> int:
-    graph = _random_graph()
-    sequential = set(filter_non_maximal(
-        DCFastQC(graph, GAMMA, THETA).enumerate(), theta=THETA))
-
-    with tempfile.TemporaryDirectory(prefix="chaos-spool-") as root:
-        spool_dir = os.path.join(root, "spool")
-        spool = SpoolQueue(spool_dir, lease_seconds=0.5, max_attempts=5)
-        subproblems = tuple(
-            DCFastQC(graph, GAMMA, THETA).iter_compact_subproblems())
-        ids = spool.submit_subproblems(subproblems, GAMMA, THETA)
-        tasks = {task_id: WorkTask(task_id=task_id, subproblem=subproblem,
-                                   gamma=GAMMA, theta=THETA)
-                 for task_id, subproblem in zip(ids, subproblems)}
-        print(f"spooled {len(ids)} tasks under {spool_dir}")
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, ["src", env.get("PYTHONPATH")]))
-        env["REPRO_FAULTS"] = "worker.task:delay=600"
-        victim = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", "--spool", spool_dir,
-             "--lease-seconds", "0.5"],
-            env=env)
-        try:
-            deadline = time.monotonic() + 30
-            while not os.listdir(spool.claimed_dir):
-                if time.monotonic() >= deadline:
-                    raise SystemExit("victim worker never claimed a task")
-                time.sleep(0.02)
-            print(f"victim pid {victim.pid} holds a claim; sending SIGKILL")
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.wait(timeout=10)
-        finally:
-            if victim.poll() is None:
-                victim.kill()
-                victim.wait(timeout=10)
-
-        survivor = SpoolWorker(spool)
-        survivor.run(idle_timeout=1.5)
-        results = spool.collect(ids, timeout=60, tasks=tasks)
-
-        candidates: set = set()
-        for result in results:
-            candidates.update(result.cliques)
-        got = set(filter_non_maximal(
-            sorted(candidates, key=lambda h: (-len(h), sorted(map(str, h)))),
-            theta=THETA))
-
-        if got != sequential:
-            raise SystemExit(
-                f"parity broken: spool answer {len(got)} cliques vs "
-                f"sequential {len(sequential)}")
-        dead = spool.dead_letters()
-        if dead:
-            raise SystemExit(f"dead-letter dir not empty: {dead}")
-        reclaimed = [r for r in results if r.attempts > 0]
-        if not reclaimed:
-            raise SystemExit("no task carried a bumped attempt count; the "
-                             "lease-reclaim path never ran")
-        print(f"recovered: {len(got)} cliques match sequential parity, "
-              f"{len(reclaimed)} task(s) reclaimed from the killed worker, "
-              "dead-letter dir empty")
-
+    shard_pool_leg()
     branch_parallel_leg()
     return 0
+
+
+def _killed_run_falls_back(leg: str, graph: Graph, plan: str,
+                           **runner_kwargs) -> int:
+    """Run ``ParallelDCFastQC`` under a kill ``plan``; require the sequential
+    fallback with exact parity.  Returns the answer count."""
+    expected = set(filter_non_maximal(
+        DCFastQC(graph, GAMMA, THETA).enumerate(), theta=THETA))
+    install_plan(plan)
+    try:
+        runner = ParallelDCFastQC(graph, GAMMA, THETA, workers=2,
+                                  **runner_kwargs)
+        answers = set(runner.find_maximal())
+    finally:
+        reset_plan()
+    if runner.mode_selected != "sequential":
+        raise SystemExit(f"the killed {leg} worker did not trigger the "
+                         f"sequential fallback (got {runner.mode_selected!r})")
+    if answers != expected:
+        raise SystemExit(
+            f"{leg} fallback parity broken: {len(answers)} cliques "
+            f"vs sequential {len(expected)}")
+    return len(answers)
+
+
+def shard_pool_leg() -> None:
+    """SIGKILL a shard-mode pool worker; require sequential-fallback parity."""
+    # chunk_size=1 ships one subproblem per task, so a real pool runs.
+    count = _killed_run_falls_back("shard-pool", _random_graph(),
+                                   "engine.subproblem:kill:times=1",
+                                   chunk_size=1, mode="shard")
+    print(f"shard-pool kill: sequential fallback matches parity "
+          f"({count} cliques)")
 
 
 def branch_parallel_leg() -> None:
     """SIGKILL a branch-parallel steal worker; require fallback parity and
     zero leaked shared-memory segments."""
-    graph = _random_graph(seed=23)
-    expected = set(filter_non_maximal(
-        DCFastQC(graph, GAMMA, THETA).enumerate(), theta=THETA))
-    install_plan("worker.task:kill:times=1")
-    try:
-        runner = ParallelDCFastQC(graph, GAMMA, THETA, workers=2, mode="branch")
-        answers = set(runner.find_maximal())
-    finally:
-        reset_plan()
-    if runner.mode_selected != "sequential":
-        raise SystemExit("the killed branch worker did not trigger the "
-                         f"sequential fallback (got {runner.mode_selected!r})")
-    if answers != expected:
-        raise SystemExit(
-            f"branch-parallel fallback parity broken: {len(answers)} cliques "
-            f"vs sequential {len(expected)}")
+    count = _killed_run_falls_back("branch-parallel", _random_graph(seed=23),
+                                   "worker.task:kill:times=1", mode="branch")
     leaked = glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")
     if leaked:
         raise SystemExit(f"leaked shared-memory segments after the worker "
                          f"kill: {leaked}")
     print(f"branch-parallel kill: sequential fallback matches parity "
-          f"({len(answers)} cliques), /dev/shm clean")
+          f"({count} cliques), /dev/shm clean")
 
 
 if __name__ == "__main__":

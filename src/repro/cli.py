@@ -40,9 +40,6 @@ Sub-commands
                apply a mutation script (``--mutate``), or hit the control
                operations (``--stats``, ``--graphs``, ``--ping``, ``--flush``,
                ``--shutdown``).
-``worker``     Pull-based fan-out worker: claim compact DC subproblem payloads
-               from a file-backed spool queue (``--spool DIR``), enumerate
-               them, and publish candidate batches for the coordinator.
 
 Errors derived from :class:`repro.errors.ReproError` (bad parameters, invalid
 specs, unsatisfiable queries) exit with code 2 and a one-line message instead
@@ -741,23 +738,6 @@ def _command_client(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_worker(args: argparse.Namespace) -> int:
-    from .serve import SpoolQueue, SpoolWorker
-
-    spool = SpoolQueue(args.spool, lease_seconds=args.lease_seconds,
-                       max_attempts=args.max_attempts)
-    worker = SpoolWorker(spool, worker_id=args.worker_id)
-
-    def _report(w) -> None:
-        print(f"# {w.worker_id}: {w.processed} tasks processed", flush=True)
-
-    processed = worker.run(max_tasks=args.max_tasks,
-                           idle_timeout=args.idle_timeout, poll=args.poll,
-                           progress=_report if args.verbose else None)
-    print(f"# worker {worker.worker_id} done: {processed} tasks")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-mqce",
@@ -1067,31 +1047,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="cliques per batch frame")
     client_parser.add_argument("--json", action="store_true", help="print JSON only")
     client_parser.set_defaults(handler=_command_client)
-
-    worker_parser = subparsers.add_parser(
-        "worker", help="pull-based spool worker for distributed enumeration")
-    worker_parser.add_argument("--spool", required=True, metavar="DIR",
-                               help="spool queue directory shared with the "
-                               "coordinator")
-    worker_parser.add_argument("--max-tasks", type=int, metavar="N",
-                               help="exit after processing N tasks")
-    worker_parser.add_argument("--idle-timeout", type=float, metavar="SECONDS",
-                               help="exit after this long with nothing to claim "
-                               "(default: poll forever)")
-    worker_parser.add_argument("--poll", type=float, default=0.1,
-                               help="idle poll interval in seconds (default 0.1)")
-    worker_parser.add_argument("--worker-id", help="stable worker identity "
-                               "(default: host-pid)")
-    worker_parser.add_argument("--lease-seconds", type=float, default=15.0,
-                               metavar="SECONDS", help="claimed-task lease; a "
-                               "task whose worker stops heartbeating this "
-                               "long is reclaimed (default 15)")
-    worker_parser.add_argument("--max-attempts", type=int, default=3,
-                               metavar="N", help="execution attempts per task "
-                               "before dead-letter quarantine (default 3)")
-    worker_parser.add_argument("--verbose", "-v", action="store_true",
-                               help="print a line per processed task")
-    worker_parser.set_defaults(handler=_command_worker)
 
     return parser
 

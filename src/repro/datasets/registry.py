@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from ..errors import UnknownDatasetError
 from ..graph.generators import barabasi_albert, erdos_renyi_gnm, planted_quasi_clique
 from ..graph.graph import Graph
 
@@ -146,7 +147,7 @@ def get_spec(name: str) -> DatasetSpec:
     """Return the specification of a registered dataset."""
     key = name.lower()
     if key not in REGISTRY:
-        raise KeyError(f"unknown dataset {name!r}; known: {', '.join(REGISTRY)}")
+        raise UnknownDatasetError(f"unknown dataset {name!r}; known: {', '.join(REGISTRY)}")
     return REGISTRY[key]
 
 

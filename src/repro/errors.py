@@ -18,6 +18,9 @@ guessing which submodule complained:
 ``EngineError``
     Invalid use of the persistent :class:`repro.engine.MQCEEngine` (e.g.
     querying a prepared graph whose underlying graph was mutated).
+``UnknownDatasetError``
+    A dataset name the registry does not know.  A :class:`QueryError` and a
+    :class:`KeyError`.
 
 All of these also subclass :class:`ValueError`, preserving the exception types
 the pre-``repro.errors`` releases raised; ``except ValueError`` code keeps
@@ -49,6 +52,17 @@ class EngineError(QueryError):
     """Raised for invalid engine usage (e.g. querying a mutated prepared graph)."""
 
 
+class UnknownDatasetError(QueryError, KeyError):
+    """Raised for a dataset name the registry does not know.
+
+    Also a :class:`KeyError`, the type the registry lookup raised before, so
+    ``except KeyError`` callers keep working.
+    """
+
+    # KeyError repr-quotes its argument; print the message as written.
+    __str__ = Exception.__str__
+
+
 class ServiceOverloadedError(ReproError):
     """Raised when the serving layer sheds a request instead of queueing it.
 
@@ -77,40 +91,6 @@ class FaultInjectedError(ReproError):
                  site: str | None = None) -> None:
         super().__init__(message)
         self.site = site
-
-
-class SpoolCorruptionError(ReproError):
-    """A spool payload failed its checksum (truncated or corrupt pickle)."""
-
-
-class TaskPoisonedError(ReproError):
-    """A spooled task exhausted its attempt budget and was quarantined.
-
-    Raised by :meth:`repro.serve.worker.SpoolQueue.collect` once a task has
-    been moved to the dead-letter directory; carries the quarantine report.
-    """
-
-    def __init__(self, message: str = "task poisoned", *,
-                 task_id: str | None = None, report: dict | None = None) -> None:
-        super().__init__(message)
-        self.task_id = task_id
-        self.report = report
-
-
-class SpoolTimeoutError(ReproError):
-    """A spool collect timed out; partial progress rides on the exception.
-
-    ``completed`` holds every :class:`~repro.serve.worker.TaskResult` already
-    collected (nothing is discarded) and ``outstanding`` the task ids still
-    missing, so a coordinator can resume, report, or degrade gracefully.
-    """
-
-    def __init__(self, message: str = "spool collect timed out", *,
-                 completed: list | None = None,
-                 outstanding: list | None = None) -> None:
-        super().__init__(message)
-        self.completed = completed or []
-        self.outstanding = outstanding or []
 
 
 class CircuitOpenError(ReproError):
@@ -145,11 +125,9 @@ __all__ = [
     "ParameterError",
     "SpecError",
     "EngineError",
+    "UnknownDatasetError",
     "ServiceOverloadedError",
     "FaultInjectedError",
-    "SpoolCorruptionError",
-    "TaskPoisonedError",
-    "SpoolTimeoutError",
     "CircuitOpenError",
     "DeadlineExceededError",
     "ConnectionLostError",

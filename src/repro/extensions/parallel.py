@@ -45,6 +45,7 @@ import os
 import time
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from ..core.dcfastqc import CompactSubproblem, DCFastQC, DEFAULT_MAX_ROUNDS
@@ -184,9 +185,8 @@ def run_compact_subproblem(subproblem: CompactSubproblem, gamma: float,
     plus its one-hop halo, which decides exactly like the sequential driver's
     full-graph check (any extension vertex is adjacent to the candidate set,
     hence inside ball ∪ halo) — so the emitted candidate sets are *identical*
-    to the sequential driver's for this root, wherever the payload runs: a
-    pool worker process here or a ``repro worker`` spool consumer
-    (:mod:`repro.serve.worker`).  Returns the candidate sets, a metrics
+    to the sequential driver's for this root, whether the payload runs in a
+    pool worker process or inline.  Returns the candidate sets, a metrics
     snapshot for the coordinating process to merge (see
     :func:`_worker_metrics`) and the worker-side :class:`SearchStatistics`,
     which the parent merges so parallel runs report the same branch counts a
@@ -350,7 +350,10 @@ class ParallelDCFastQC:
                     REGISTRY.merge(metrics)
                     merged.merge(stats)
                     merged.subproblem_branches.record(stats.branches_explored)
-        except (OSError, ValueError):  # pragma: no cover - platform fallback
+        except (BrokenProcessPool, OSError, ValueError):
+            # A dead pool worker (or a platform without a usable process
+            # pool) must not cost the answer: rerun sequentially, as branch
+            # mode does on WorkerCrash.
             return self._sequential()
         self.statistics = merged
         self.mode_selected = "shard"

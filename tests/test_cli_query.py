@@ -137,3 +137,9 @@ class TestErrorMapping:
     def test_legacy_commands_also_mapped(self, capsys):
         assert main(["enumerate", "-d", "twitter", "--gamma", "0.3"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unknown_dataset_exits_2_with_one_line(self, capsys):
+        assert main(["query", "-d", "nosuch", "-g", "0.9", "-t", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: unknown dataset 'nosuch'")

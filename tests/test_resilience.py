@@ -1,26 +1,21 @@
-"""Fault-tolerance tests: injection, leases, retry/resume, degradation.
+"""Fault-tolerance tests: injection, retry/resume, degradation.
 
 The acceptance criteria live here:
 
-* SIGKILLing a worker subprocess mid-task leads to lease expiry, atomic
-  reclaim by a surviving worker, and a final answer parity-identical to the
-  sequential pipeline — with an empty dead-letter directory;
-* a fault matrix over the spool injection sites (claim, write, heartbeat,
-  task, enumerate, subproblem) always ends in either a clean retry or a
-  typed error — never a corrupted or short answer;
+* a fault plan fires exactly on its scheduled hits and is a no-op when no
+  plan is installed;
 * a client stream interrupted by injected connection drops resumes from the
   last acked batch and reassembles a byte-identical frame sequence;
 * repeated enumeration failures open the per-``(graph, spec)`` circuit
   (typed :class:`CircuitOpenError`), and a half-open probe closes it again.
+
+Killed pool and steal workers (sequential fallback with exact parity) are
+covered in ``tests/test_stealing.py::TestCrashRecovery``.
 """
 
 from __future__ import annotations
 
-import os
 import random
-import signal
-import subprocess
-import sys
 import time
 
 import pytest
@@ -28,19 +23,15 @@ import pytest
 from repro import Graph
 from repro.errors import (CircuitOpenError, ConnectionLostError,
                           DeadlineExceededError, FaultInjectedError,
-                          ReproError, SpoolCorruptionError, SpoolTimeoutError,
-                          TaskPoisonedError)
+                          ReproError)
 from repro.obs.metrics import REGISTRY
 from repro.resilience import (BreakerBoard, CircuitBreaker, Deadline,
                               FaultPlan, RetryPolicy, call_with_retry,
                               fault_point, install_plan, parse_plan,
                               reset_plan)
-from repro.serve import (ReproService, ServeClient, SpoolQueue, SpoolWorker,
-                         WorkTask, fetch_http, spool_enumerate,
-                         start_in_thread)
+from repro.serve import ReproService, ServeClient, fetch_http, start_in_thread
 from repro.serve.protocol import (encode_frame, error_payload,
                                   exception_from_payload, validate_request)
-from repro.serve.worker import _dump_payload, _load_payload
 
 _INJECTED = REGISTRY.counter("repro_faults_injected_total")
 
@@ -81,12 +72,12 @@ def _sequential_answer(graph, gamma, theta):
 # ----------------------------------------------------------------------
 class TestFaultPlan:
     def test_parse_plan_round_trip(self):
-        plan = parse_plan("spool.claim:raise:after=2;"
+        plan = parse_plan("client.connect:raise:after=2;"
                           "serve.write_frame:drop:times=3;"
                           "worker.task:delay=0.25;"
                           "engine.subproblem:raise:p=0.5:seed=7:times=0")
         rules = {rule.site: rule for rule in plan.rules()}
-        assert rules["spool.claim"].after == 2
+        assert rules["client.connect"].after == 2
         assert rules["serve.write_frame"].times == 3
         assert rules["worker.task"].action == "delay"
         assert rules["worker.task"].delay == 0.25
@@ -100,7 +91,7 @@ class TestFaultPlan:
             parse_plan(text)
 
     def test_no_plan_is_a_no_op(self):
-        assert fault_point("spool.claim") is None
+        assert fault_point("serve.write_frame") is None
 
     def test_after_and_times_schedule_hits(self):
         install_plan(parse_plan("x:raise:after=2:times=2"))
@@ -290,264 +281,6 @@ class TestCircuitBreaker:
         back = exception_from_payload(error_payload(err))
         assert isinstance(back, CircuitOpenError)
         assert back.retry_after == pytest.approx(1.5)
-
-
-# ----------------------------------------------------------------------
-# Spool payload integrity
-# ----------------------------------------------------------------------
-class TestSpoolChecksums:
-    def test_payload_round_trip(self):
-        payload = {"cliques": [frozenset({1, 2})], "n": 3}
-        assert _load_payload(_dump_payload(payload)) == payload
-
-    @pytest.mark.parametrize("mangle", [
-        lambda data: data[: len(data) // 2],         # truncated
-        lambda data: b"???" + data[3:],              # bad magic
-        lambda data: data[:-2] + b"xx",              # flipped payload bytes
-        lambda data: data[:2],                       # shorter than the header
-    ])
-    def test_corruption_is_detected(self, mangle):
-        data = _dump_payload({"k": list(range(100))})
-        with pytest.raises(SpoolCorruptionError):
-            _load_payload(mangle(data))
-
-    def test_corrupt_task_file_is_quarantined_not_fatal(self, tmp_path):
-        spool = SpoolQueue(str(tmp_path / "spool"))
-        with open(os.path.join(spool.tasks_dir, "task-junk.pkl"), "wb") as fh:
-            fh.write(b"not a payload at all")
-        assert spool.claim("w0") is None
-        reports = spool.dead_letters()
-        assert len(reports) == 1
-        assert reports[0]["task_id"] == "junk"
-        assert reports[0]["reason"] == "corrupt-task"
-        assert spool.stats()["dead"] == 1
-
-
-# ----------------------------------------------------------------------
-# Leases, attempts and quarantine
-# ----------------------------------------------------------------------
-class TestLeases:
-    def _one_task(self, graph, tmp_path, **spool_kwargs) -> tuple:
-        from repro.core.dcfastqc import DCFastQC
-
-        spool = SpoolQueue(str(tmp_path / "spool"), **spool_kwargs)
-        subproblem = next(iter(DCFastQC(graph, 0.9, 4)
-                               .iter_compact_subproblems()))
-        task = WorkTask(task_id="t0", subproblem=subproblem, gamma=0.9,
-                        theta=4)
-        spool.submit(task)
-        return spool, task
-
-    def test_renewed_lease_is_not_reclaimed(self, graph, tmp_path):
-        spool, _task = self._one_task(graph, tmp_path, lease_seconds=0.2)
-        assert spool.claim("w0") is not None
-        time.sleep(0.25)
-        assert spool.renew_lease("t0") is True
-        moved = spool.reclaim_expired()  # renewal just reset the clock
-        assert moved == {"requeued": 0, "quarantined": 0, "completed": 0}
-
-    def test_expired_lease_requeues_with_attempt_bump(self, graph, tmp_path):
-        spool, _task = self._one_task(graph, tmp_path, lease_seconds=0.1)
-        assert spool.claim("w0") is not None
-        time.sleep(0.15)
-        moved = spool.reclaim_expired()
-        assert moved["requeued"] == 1
-        reclaimed = spool.claim("w1")
-        assert reclaimed.task_id == "t0" and reclaimed.attempts == 1
-
-    def test_lease_expiry_past_budget_quarantines(self, graph, tmp_path):
-        spool, _task = self._one_task(graph, tmp_path, lease_seconds=0.05,
-                                      max_attempts=2)
-        for expected_attempts in (1,):
-            assert spool.claim("w0") is not None
-            time.sleep(0.1)
-            assert spool.reclaim_expired()["requeued"] == 1
-        assert spool.claim("w0").attempts == 1
-        time.sleep(0.1)
-        assert spool.reclaim_expired()["quarantined"] == 1
-        assert spool.stats() == {"tasks": 0, "claimed": 0, "results": 0,
-                                 "dead": 1}
-        with pytest.raises(TaskPoisonedError) as info:
-            spool.collect(["t0"], timeout=1.0)
-        assert info.value.task_id == "t0"
-        assert info.value.report["reason"] == "lease-expired"
-
-    def test_finished_but_unretired_claim_is_just_dropped(self, graph,
-                                                          tmp_path):
-        spool, task = self._one_task(graph, tmp_path, lease_seconds=0.05)
-        claimed = spool.claim("w0")
-        from repro.serve.worker import TaskResult
-
-        # Simulate a worker that published its result, then died before
-        # removing the claim: write the result directly, keep the claim.
-        spool._write_atomic(spool.results_dir, task.task_id,
-                            TaskResult(task_id=task.task_id, cliques=()))
-        assert claimed is not None
-        time.sleep(0.1)
-        assert spool.reclaim_expired()["completed"] == 1
-        assert spool.stats()["claimed"] == 0
-
-    def test_renew_lease_reports_a_stolen_claim(self, graph, tmp_path):
-        spool, _task = self._one_task(graph, tmp_path, lease_seconds=0.05)
-        assert spool.claim("w0") is not None
-        time.sleep(0.1)
-        assert spool.reclaim_expired()["requeued"] == 1
-        assert spool.renew_lease("t0") is False
-
-
-class TestCollect:
-    def test_timeout_carries_partial_progress(self, graph, tmp_path):
-        from repro.core.dcfastqc import DCFastQC
-
-        spool = SpoolQueue(str(tmp_path / "spool"))
-        subproblems = tuple(DCFastQC(graph, 0.85, 4)
-                            .iter_compact_subproblems())
-        assert len(subproblems) >= 2
-        ids = spool.submit_subproblems(subproblems, 0.85, 4)
-        SpoolWorker(spool).run(max_tasks=1, idle_timeout=1.0)
-        with pytest.raises(SpoolTimeoutError) as info:
-            spool.collect(ids, timeout=0.3)
-        assert len(info.value.completed) == 1
-        assert info.value.completed[0].error is None
-        done_id = info.value.completed[0].task_id
-        assert set(info.value.outstanding) == set(ids) - {done_id}
-        # Nothing thrown away: finishing the spool still converges.
-        SpoolWorker(spool).run(idle_timeout=0.5)
-        assert len(spool.collect(ids, timeout=10)) == len(ids)
-
-    def test_error_results_are_resubmitted_with_a_task_map(self, graph,
-                                                           tmp_path):
-        from repro.core.dcfastqc import DCFastQC
-
-        spool = SpoolQueue(str(tmp_path / "spool"), max_attempts=3)
-        subproblem = next(iter(DCFastQC(graph, 0.9, 4)
-                               .iter_compact_subproblems()))
-        # worker.enumerate raises once; the resubmitted attempt succeeds.
-        install_plan(parse_plan("worker.enumerate:raise:times=1"))
-        task = WorkTask(task_id="flaky", subproblem=subproblem, gamma=0.9,
-                        theta=4)
-        spool.submit(task)
-
-        import threading
-
-        worker = SpoolWorker(spool)
-        thread = threading.Thread(
-            target=lambda: worker.run(idle_timeout=2.0), daemon=True)
-        thread.start()
-        results = spool.collect(["flaky"], timeout=15,
-                                tasks={"flaky": task})
-        thread.join(timeout=10)
-        assert results[0].error is None
-        assert results[0].attempts == 1
-        assert spool.stats()["dead"] == 0
-
-    def test_error_results_poison_without_a_task_map(self, graph, tmp_path):
-        from repro.core.dcfastqc import DCFastQC
-
-        spool = SpoolQueue(str(tmp_path / "spool"))
-        subproblem = next(iter(DCFastQC(graph, 0.9, 4)
-                               .iter_compact_subproblems()))
-        spool.submit(WorkTask(task_id="bad", subproblem=subproblem,
-                              gamma=2.0, theta=4))  # invalid gamma: worker error
-        SpoolWorker(spool).run(max_tasks=1, idle_timeout=1.0)
-        with pytest.raises(TaskPoisonedError) as info:
-            spool.collect(["bad"], timeout=5)
-        assert info.value.task_id == "bad"
-        assert spool.dead_letters()[0]["reason"] == "worker-error"
-
-
-# ----------------------------------------------------------------------
-# Crash recovery: a real SIGKILL mid-task
-# ----------------------------------------------------------------------
-class TestCrashRecovery:
-    def test_sigkilled_worker_recovers_to_sequential_parity(self, graph,
-                                                            tmp_path):
-        from repro.core.dcfastqc import DCFastQC
-        from repro.settrie.filter import filter_non_maximal
-
-        spool_dir = str(tmp_path / "spool")
-        spool = SpoolQueue(spool_dir, lease_seconds=0.5, max_attempts=5)
-        driver = DCFastQC(graph, 0.85, 4)
-        subproblems = tuple(driver.iter_compact_subproblems())
-        ids = spool.submit_subproblems(subproblems, 0.85, 4)
-        tasks = {task_id: WorkTask(task_id=task_id, subproblem=subproblem,
-                                   gamma=0.85, theta=4)
-                 for task_id, subproblem in zip(ids, subproblems)}
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, ["src", env.get("PYTHONPATH")]))
-        # The victim claims its first task, then stalls inside it forever.
-        env["REPRO_FAULTS"] = "worker.task:delay=600"
-        victim = subprocess.Popen(
-            [sys.executable, "-c",
-             "from repro.cli import main; import sys; "
-             "sys.exit(main(['worker', '--spool', %r, "
-             "'--lease-seconds', '0.5']))" % spool_dir],
-            env=env, cwd=os.getcwd())
-        try:
-            deadline = time.monotonic() + 30
-            while not os.listdir(spool.claimed_dir):
-                assert time.monotonic() < deadline, "victim never claimed"
-                time.sleep(0.02)
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.wait(timeout=10)
-        finally:
-            if victim.poll() is None:  # pragma: no cover - cleanup on failure
-                victim.kill()
-                victim.wait(timeout=10)
-
-        # A surviving worker drains the spool; its idle loop reclaims the
-        # victim's expired lease and re-runs the orphaned task.
-        survivor = SpoolWorker(spool)
-        survivor.run(idle_timeout=1.5)
-        results = spool.collect(ids, timeout=30, tasks=tasks)
-
-        candidates: set = set()
-        for result in results:
-            candidates.update(result.cliques)
-        got = set(filter_non_maximal(
-            sorted(candidates, key=lambda h: (-len(h), sorted(map(str, h)))),
-            theta=4))
-        assert got == _sequential_answer(graph, 0.85, 4)
-        assert spool.dead_letters() == []
-        # The reclaimed task really did go through the lease machinery.
-        reclaimed = [r for r in results if r.attempts > 0]
-        assert reclaimed, "no task carried a bumped attempt count"
-
-
-# ----------------------------------------------------------------------
-# The fault matrix: spool_enumerate under every spool-side site
-# ----------------------------------------------------------------------
-class TestFaultMatrix:
-    @pytest.mark.parametrize("plan_text", [
-        "spool.claim:raise:times=1",
-        "spool.write:truncate:times=1",
-        "spool.heartbeat:raise:times=0",
-        "worker.task:raise:times=1",
-        "worker.enumerate:raise:times=2",
-        "engine.subproblem:raise:times=1",
-        ("spool.claim:raise:times=1;worker.enumerate:raise:times=1;"
-         "spool.write:truncate:after=2:times=1"),
-    ])
-    def test_spool_enumerate_survives_with_exact_parity(self, graph, tmp_path,
-                                                        plan_text):
-        install_plan(parse_plan(plan_text))
-        got = spool_enumerate(graph, 0.85, 4, str(tmp_path / "spool"),
-                              inline_workers=2, timeout=60,
-                              lease_seconds=0.25, max_attempts=5)
-        install_plan(None)
-        assert set(got) == _sequential_answer(graph, 0.85, 4)
-
-    def test_a_truly_poisoned_task_surfaces_typed_not_corrupt(self, graph,
-                                                              tmp_path):
-        # Every attempt fails: the budget runs out and the typed error
-        # surfaces instead of a wrong (short) answer.
-        install_plan(parse_plan("worker.enumerate:raise:times=0"))
-        with pytest.raises(TaskPoisonedError):
-            spool_enumerate(graph, 0.9, 4, str(tmp_path / "spool"),
-                            inline_workers=2, timeout=60,
-                            lease_seconds=0.25, max_attempts=2)
 
 
 # ----------------------------------------------------------------------

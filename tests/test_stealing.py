@@ -19,6 +19,7 @@ from repro.core.fastqc import FastQC
 from repro.core.stats import SizeHistogram
 from repro.engine.planner import PlannerConfig, QueryPlanner
 from repro.engine.prepared import PreparedGraph
+from repro.errors import FaultInjectedError
 from repro.extensions.parallel import (ParallelDCFastQC, branch_histogram_skew,
                                        branch_mode_wins, histogram_skew,
                                        run_compact_subproblem)
@@ -161,24 +162,37 @@ class TestBranchParallel:
 
 
 # ----------------------------------------------------------------------
-# Crash recovery (reuses the PR-9 worker.task fault site)
+# Crash recovery: a dead pool or steal worker costs time, never the answer
 # ----------------------------------------------------------------------
 class TestCrashRecovery:
-    def test_killed_worker_falls_back_sequential_without_shm_leak(self, graph):
+    @pytest.mark.parametrize("mode, plan, raises", [
+        ("branch", "worker.task:kill:times=1", None),
+        ("shard", "engine.subproblem:kill:times=1", None),
+        # A worker-side exception is not a crash: it surfaces typed.
+        ("shard", "engine.subproblem:raise:times=1", FaultInjectedError),
+    ], ids=["branch-kill", "shard-kill", "shard-raise"])
+    def test_killed_worker_falls_back_sequential_without_shm_leak(
+            self, graph, mode, plan, raises):
         expected = filter_non_maximal(
             sorted(_sequential_answer(graph),
                    key=lambda h: (-len(h), sorted(map(str, h)))),
             theta=THETA)
-        install_plan("worker.task:kill:times=1")
+        install_plan(plan)
         try:
+            # chunk_size=1 forces a real pool even for few subproblems.
             runner = ParallelDCFastQC(graph, GAMMA, THETA, workers=2,
-                                      mode="branch")
-            answers = runner.find_maximal()
+                                      chunk_size=1, mode=mode)
+            if raises is None:
+                answers = runner.find_maximal()
+            else:
+                with pytest.raises(raises):
+                    runner.find_maximal()
         finally:
             reset_plan()
-        assert runner.mode_selected == "sequential"
-        assert sorted(map(sorted, answers)) == sorted(map(sorted, expected))
         assert _shm_segments() == []
+        if raises is None:
+            assert runner.mode_selected == "sequential"
+            assert sorted(map(sorted, answers)) == sorted(map(sorted, expected))
 
 
 # ----------------------------------------------------------------------
