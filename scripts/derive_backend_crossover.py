@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Re-derive ``AUTO_ARRAY_MIN_WIDTH``: the list-vs-array ledger crossover.
 
-The ``auto`` ledger backend (``repro.core.kernel``) stores branch-state
-ledgers in plain Python lists below a width threshold and in flat
-``array('i')`` buffers above it.  The tradeoff:
+The kernel (``repro.core.kernel``) stores branch-state ledgers in plain
+Python lists below a width threshold and in flat ``array('i')`` buffers
+above it.  The tradeoff:
 
 * a branch fork copies every ledger — one memcpy for an array, a
   pointer-by-pointer loop for a list — so copies favour arrays, more so the
@@ -15,15 +15,15 @@ ledgers in plain Python lists below a width threshold and in flat
 
 This script measures both costs per width (micro section) and reports, for
 each width, the *break-even touch rate*: how many indexed updates per
-copy/reset a workload can perform before the list backend wins.  The
+copy/reset a workload can perform before list buffers win.  The
 kernel's real rate comes from its own counters — on a 10^4-vertex power-law
 graph the shrink pass dominates and performs ~0.5 indexed updates per
 full-width ledger reset (``shrink_ledger_updates / shrink_rounds``), far
 below break-even at every width >= 96.  The end-to-end section
-cross-checks the conclusion: cold DCFastQC wall-clock under the forced
-``list`` / ``array`` backends and the ``auto`` default, where the DC
-decomposition keeps subproblem states far below the threshold while
-root-level shrink ledgers sit far above it.
+cross-checks the conclusion: cold DCFastQC wall-clock with the threshold
+patched to force all-``list`` / all-``array`` ledgers and at its ``auto``
+default, where the DC decomposition keeps subproblem states far below the
+threshold while root-level shrink ledgers sit far above it.
 
 Usage::
 
@@ -68,7 +68,7 @@ def _best_of(repeat, run):
 
 
 def measure_width(width: int, repeat: int = 5) -> dict:
-    """Per-width copy cost and per-touch update cost (ns), per backend."""
+    """Per-width copy cost and per-touch update cost (ns), per buffer type."""
     rounds = max(1, 2_000_000 // max(width, 64))
     as_list = list(range(width))
     as_array = array("i", as_list)
@@ -92,8 +92,8 @@ def measure_width(width: int, repeat: int = 5) -> dict:
     array_copy = _best_of(repeat, copies(as_array)) / rounds
     list_touch = _best_of(repeat, touches(as_list)) / rounds / TOUCHES_PER_ROUND
     array_touch = _best_of(repeat, touches(as_array)) / rounds / TOUCHES_PER_ROUND
-    # The copy saving buys this many boxed array accesses before the list
-    # backend breaks even; a workload touching fewer entries per copy/reset
+    # The copy saving buys this many boxed array accesses before list
+    # buffers break even; a workload touching fewer entries per copy/reset
     # than this is faster on arrays at this width.
     penalty = array_touch - list_touch
     break_even = ((list_copy - array_copy) / penalty
@@ -126,8 +126,10 @@ def run_end_to_end(vertices: int, repeat: int) -> dict:
     timings = {}
     results = {}
     stats = {}
-    for backend in ("list", "array", "auto"):
-        previous = kernel.set_ledger_backend(backend)
+    default_width = kernel.AUTO_ARRAY_MIN_WIDTH
+    widths = {"list": sys.maxsize, "array": 0, "auto": default_width}
+    for backend, width in widths.items():
+        kernel.AUTO_ARRAY_MIN_WIDTH = width
         try:
             def run():
                 algo = DCFastQC(graph, gamma, theta)
@@ -135,7 +137,7 @@ def run_end_to_end(vertices: int, repeat: int) -> dict:
                 stats[backend] = algo.statistics
             timings[backend] = _best_of(repeat, run)
         finally:
-            kernel.set_ledger_backend(previous)
+            kernel.AUTO_ARRAY_MIN_WIDTH = default_width
     assert results["list"] == results["array"] == results["auto"]
     measured = stats["auto"]
     rate = (measured.shrink_ledger_updates / measured.shrink_rounds

@@ -24,9 +24,6 @@ Quickstart
 >>> result = Q(graph).gamma(0.6).theta(3).run()
 >>> sorted(sorted(h) for h in result.maximal_quasi_cliques)
 [[1, 2, 3, 4]]
-
-(The PR-1 kwargs entry point ``find_maximal_quasi_cliques(graph, gamma,
-theta)`` still works but is deprecated in favour of the spec API.)
 """
 
 from .errors import EngineError, ParameterError, QueryError, ReproError, SpecError
@@ -44,17 +41,10 @@ from .pipeline import (
     EnumerationResult,
     QuasiCliqueStream,
     enumerate_candidate_quasi_cliques,
-    find_maximal_quasi_cliques,
     run_enumeration,
     stream_maximal_quasi_cliques,
 )
-from .extensions import (
-    ParallelDCFastQC,
-    community_of,
-    find_largest_quasi_cliques,
-    find_quasi_cliques_containing,
-    kernel_expansion_top_k,
-)
+from .extensions import ParallelDCFastQC, kernel_expansion_top_k
 from .api import Q, QueryBuilder, QuerySpec
 from .engine import (
     MQCEEngine,
@@ -104,13 +94,9 @@ __all__ = [
     "EnumerationResult",
     "QuasiCliqueStream",
     "enumerate_candidate_quasi_cliques",
-    "find_maximal_quasi_cliques",
     "run_enumeration",
     "stream_maximal_quasi_cliques",
     "ParallelDCFastQC",
-    "community_of",
-    "find_largest_quasi_cliques",
-    "find_quasi_cliques_containing",
     "kernel_expansion_top_k",
     "Q",
     "QueryBuilder",

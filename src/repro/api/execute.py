@@ -14,7 +14,7 @@ This module is the single place that knows how to turn a spec into an
 The persistent :class:`repro.engine.MQCEEngine` calls these same functions
 after planning and consults its cache around them; the one-shot helpers here
 (:func:`execute`, :func:`shape_result`, :func:`result_value`) are what the
-fluent builder and the deprecated kwargs shims use directly.
+fluent builder uses directly.
 """
 
 from __future__ import annotations

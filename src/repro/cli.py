@@ -9,10 +9,6 @@ Sub-commands
                (``--stream``).  Covers enumerate / top-k (``--top``) /
                containment (``--containing``) / count (``--count``) with
                budgets (``--limit``, ``--time-limit``).
-``enumerate``  Run the full MQCE pipeline on an edge-list file or a registered
-               dataset analogue and print (or save) the maximal quasi-cliques.
-``topk``       Find the k largest maximal quasi-cliques (exact or kernel expansion).
-``community``  Find the maximal quasi-cliques containing given query vertices.
 ``stats``      Print graph statistics (the input columns of Table 1).
 ``ingest``     Stream an edge-list file into the CSR large-graph backend
                (O(V+E) memory, no per-vertex dict/bitmask), report size,
@@ -21,11 +17,8 @@ Sub-commands
 ``datasets``   List the registered dataset analogues and their defaults.
 ``table1``     Regenerate the Table 1 rows on the dataset analogues.
 ``figure``     Regenerate one of the paper's figures (7, 8, 9, 10, 11, 12).
-``engine``     The persistent query engine: ``engine query`` (one cached MQCE
-               query, optionally repeated), ``engine batch`` (a gamma x theta
-               grid through one engine), ``engine explain`` (print the chosen
-               plan without enumerating) and ``engine stats`` (prepared-graph
-               artifacts and timings).
+``engine``     The persistent query engine: ``engine stats`` (prepared-graph
+               artifacts and timings, or the Prometheus metrics page).
 ``dynamic``    Dynamic graph updates with incremental engine maintenance:
                ``dynamic apply`` (run an update script against a graph and
                write/report the result), ``dynamic query`` (query, apply the
@@ -55,18 +48,16 @@ import time
 from pathlib import Path
 
 from .api import QuerySpec
-from .api.execute import containment_search, topk_search
 from .api.spec import SPEC_PARALLEL_MODES
 from .core.dcfastqc import DC_FRAMEWORKS
 from .core.kernel import KERNELS
 from .datasets.registry import REGISTRY, get_spec, load_dataset, load_prepared
 from .dynamic import DynamicEngine, read_update_script
-from .engine import MQCEEngine, QueryRequest, prepare_graph
+from .engine import MQCEEngine, prepare_graph
 from .errors import ReproError, SpecError
 from .experiments import figures as figure_module
 from .experiments.harness import format_table
 from .experiments.tables import table1_rows
-from .extensions.topk import kernel_expansion_top_k
 from .graph.io import read_edge_list, write_edge_list, write_quasi_cliques
 from .graph.statistics import graph_statistics
 from .pipeline.mqce import ALGORITHMS, run_enumeration
@@ -85,30 +76,6 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", "-d", help="registered dataset analogue to build")
 
 
-def _command_enumerate(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
-    gamma = args.gamma
-    theta = args.theta
-    if args.dataset and gamma is None:
-        gamma = get_spec(args.dataset).default_gamma
-    if args.dataset and theta is None:
-        theta = get_spec(args.dataset).default_theta
-    if gamma is None or theta is None:
-        raise SystemExit("--gamma and --theta are required for --input graphs")
-    result = run_enumeration(graph, QuerySpec(gamma=gamma, theta=theta,
-                                              algorithm=args.algorithm))
-    if args.json:
-        print(json.dumps(result.summary(), indent=2))
-    else:
-        print(f"# {result.maximal_count} maximal {gamma}-quasi-cliques with >= {theta} vertices "
-              f"({result.algorithm}, {result.total_seconds:.3f}s)")
-        for clique in result.maximal_quasi_cliques:
-            print(" ".join(str(v) for v in sorted(clique, key=str)))
-    if args.output:
-        write_quasi_cliques(result.maximal_quasi_cliques, args.output)
-    return 0
-
-
 def _resolve_defaults(args: argparse.Namespace) -> tuple[float, int | None]:
     """Fill gamma/theta from the dataset defaults when they were not given."""
     gamma = args.gamma
@@ -120,41 +87,6 @@ def _resolve_defaults(args: argparse.Namespace) -> tuple[float, int | None]:
         if theta is None:
             theta = spec.default_theta
     return gamma, theta
-
-
-def _command_topk(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
-    gamma, _ = _resolve_defaults(args)
-    if gamma is None:
-        raise SystemExit("--gamma is required for --input graphs")
-    if args.heuristic:
-        cliques = kernel_expansion_top_k(graph, gamma, k=args.k,
-                                         kernel_theta=max(2, args.min_size))
-    else:
-        spec = QuerySpec(gamma=gamma, theta=max(1, args.min_size), k=args.k,
-                         algorithm="dcfastqc")
-        cliques = topk_search(graph, spec).maximal_quasi_cliques
-    method = "kernel expansion" if args.heuristic else "exact"
-    print(f"# top-{args.k} largest {gamma}-quasi-cliques ({method})")
-    for rank, clique in enumerate(cliques, start=1):
-        print(f"{rank}. size {len(clique)}: "
-              + " ".join(str(v) for v in sorted(clique, key=str)))
-    return 0
-
-
-def _command_community(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
-    gamma, theta = _resolve_defaults(args)
-    if gamma is None or theta is None:
-        raise SystemExit("--gamma and --theta are required for --input graphs")
-    query = [_int_if_possible(token) for token in args.vertices]
-    spec = QuerySpec(gamma=gamma, theta=theta, contains=tuple(query))
-    cliques = containment_search(graph, spec).maximal_quasi_cliques
-    print(f"# {len(cliques)} maximal {gamma}-quasi-cliques (size >= {theta}) "
-          f"containing {', '.join(map(str, query))}")
-    for clique in cliques:
-        print(" ".join(str(v) for v in sorted(clique, key=str)))
-    return 0
 
 
 def _int_if_possible(token: str):
@@ -425,92 +357,6 @@ def _require_parameters(args: argparse.Namespace) -> tuple[float, int]:
     if gamma is None or theta is None:
         raise SystemExit("--gamma and --theta are required for --input graphs")
     return gamma, theta
-
-
-def _command_engine_query(args: argparse.Namespace) -> int:
-    prepared = _load_prepared(args)
-    gamma, theta = _require_parameters(args)
-    engine = MQCEEngine(workers=getattr(args, "workers", None))
-    repeats = max(1, args.repeat)
-    spec = QuerySpec(gamma=gamma, theta=theta, algorithm=args.algorithm,
-                     branching=args.branching,
-                     parallel=getattr(args, "parallel", None) or "auto")
-    # Planned once here; the query loop reuses the memoized plan.
-    plan = engine.explain(prepared, spec)
-    result = None
-    for _ in range(repeats):
-        result = engine.query(prepared, spec)
-    stats = engine.stats()
-    if args.json:
-        print(json.dumps({"result": result.summary(), "plan": plan.as_dict(),
-                          "engine": stats}, indent=2))
-    else:
-        print(f"# {result.maximal_count} maximal {gamma}-quasi-cliques with >= {theta} "
-              f"vertices ({plan.algorithm}, planned, {result.total_seconds:.3f}s "
-              f"enumerated once)")
-        for clique in result.maximal_quasi_cliques:
-            print(" ".join(str(v) for v in sorted(clique, key=str)))
-        cache = stats["cache"]
-        print(f"# engine: {stats['queries']} queries, {cache['hits']} cache hits, "
-              f"{cache['misses']} misses (hit rate {cache['hit_rate']:.0%})")
-    if args.output:
-        write_quasi_cliques(result.maximal_quasi_cliques, args.output)
-    return 0
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(token) for token in text.split(",") if token.strip()]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(token) for token in text.split(",") if token.strip()]
-
-
-def _command_engine_batch(args: argparse.Namespace) -> int:
-    prepared = _load_prepared(args)
-    default_gamma, default_theta = _require_parameters(args)
-    gammas = _parse_float_list(args.gammas) if args.gammas else [default_gamma]
-    thetas = _parse_int_list(args.thetas) if args.thetas else [default_theta]
-    requests = [QueryRequest(gamma, theta, algorithm=args.algorithm)
-                for gamma in gammas for theta in thetas]
-    engine = MQCEEngine()
-    start = time.perf_counter()
-    results = engine.query_batch(prepared, requests * max(1, args.repeat))
-    elapsed = time.perf_counter() - start
-    rows = []
-    for request, result in zip(requests, results):
-        rows.append({
-            "gamma": request.gamma, "theta": request.theta,
-            "algorithm": result.algorithm, "maximal": result.maximal_count,
-            "seconds": round(result.total_seconds, 4),
-        })
-    stats = engine.stats()
-    if args.json:
-        print(json.dumps({"rows": rows, "engine": stats,
-                          "wall_seconds": elapsed,
-                          "queries_per_second": len(results) / elapsed if elapsed else 0.0},
-                         indent=2))
-    else:
-        print(format_table(rows))
-        cache = stats["cache"]
-        print(f"# {len(results)} queries in {elapsed:.3f}s "
-              f"({len(results) / elapsed:.1f} q/s), {cache['hits']} served from cache")
-    return 0
-
-
-def _command_engine_explain(args: argparse.Namespace) -> int:
-    prepared = _load_prepared(args)
-    gamma, theta = _require_parameters(args)
-    spec = QuerySpec(gamma=gamma, theta=theta, algorithm=args.algorithm,
-                     branching=args.branching,
-                     parallel=getattr(args, "parallel", None) or "auto")
-    engine = MQCEEngine(workers=getattr(args, "workers", None))
-    plan = engine.explain(prepared, spec)
-    if args.json:
-        print(json.dumps(plan.as_dict(), indent=2))
-    else:
-        print(plan.describe())
-    return 0
 
 
 def _command_engine_stats(args: argparse.Namespace) -> int:
@@ -796,33 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "enumeration branches")
     query_parser.set_defaults(handler=_command_query)
 
-    enumerate_parser = subparsers.add_parser("enumerate", help="run the MQCE pipeline")
-    _add_graph_arguments(enumerate_parser)
-    enumerate_parser.add_argument("--gamma", "-g", type=float, help="degree fraction in [0.5, 1]")
-    enumerate_parser.add_argument("--theta", "-t", type=int, help="minimum quasi-clique size")
-    enumerate_parser.add_argument("--algorithm", "-a", choices=ALGORITHMS, default="dcfastqc")
-    enumerate_parser.add_argument("--output", "-o", help="write the MQCs to this file")
-    enumerate_parser.add_argument("--json", action="store_true", help="print a JSON summary only")
-    enumerate_parser.set_defaults(handler=_command_enumerate)
-
-    topk_parser = subparsers.add_parser("topk", help="find the k largest quasi-cliques")
-    _add_graph_arguments(topk_parser)
-    topk_parser.add_argument("--gamma", "-g", type=float, help="degree fraction in [0.5, 1]")
-    topk_parser.add_argument("-k", type=int, default=3, help="how many quasi-cliques (default 3)")
-    topk_parser.add_argument("--min-size", type=int, default=3,
-                             help="smallest size threshold the search may drop to")
-    topk_parser.add_argument("--heuristic", action="store_true",
-                             help="use kernel expansion instead of the exact search")
-    topk_parser.set_defaults(handler=_command_topk)
-
-    community_parser = subparsers.add_parser(
-        "community", help="find quasi-cliques containing the given vertices")
-    _add_graph_arguments(community_parser)
-    community_parser.add_argument("vertices", nargs="+", help="query vertex labels")
-    community_parser.add_argument("--gamma", "-g", type=float, help="degree fraction in [0.5, 1]")
-    community_parser.add_argument("--theta", "-t", type=int, help="minimum quasi-clique size")
-    community_parser.set_defaults(handler=_command_community)
-
     stats_parser = subparsers.add_parser("stats", help="print graph statistics")
     _add_graph_arguments(stats_parser)
     stats_parser.set_defaults(handler=_command_stats)
@@ -866,53 +685,8 @@ def build_parser() -> argparse.ArgumentParser:
     figure_parser.set_defaults(handler=_command_figure)
 
     engine_parser = subparsers.add_parser(
-        "engine", help="persistent query engine (prepared graphs, plans, caching)")
+        "engine", help="persistent query engine: prepared-graph artifacts and metrics")
     engine_subparsers = engine_parser.add_subparsers(dest="engine_command", required=True)
-
-    def _add_engine_parameters(sub: argparse.ArgumentParser,
-                               branching: bool = True) -> None:
-        _add_graph_arguments(sub)
-        sub.add_argument("--gamma", "-g", type=float, help="degree fraction in [0.5, 1]")
-        sub.add_argument("--theta", "-t", type=int, help="minimum quasi-clique size")
-        sub.add_argument("--algorithm", "-a", choices=("auto",) + ALGORITHMS,
-                         default="auto", help="force the MQCE-S1 algorithm "
-                         "(default: let the planner decide)")
-        if branching:
-            sub.add_argument("--branching", choices=("hybrid", "sym-se", "se"),
-                             help="force the branching rule")
-            sub.add_argument("--parallel", choices=SPEC_PARALLEL_MODES,
-                             help="parallel execution mode: auto lets the "
-                             "planner pick shard or work-stealing branch "
-                             "parallelism (default: auto)")
-            sub.add_argument("--workers", type=int, metavar="N",
-                             help="process-pool size for parallel plans")
-
-    query_sub = engine_subparsers.add_parser(
-        "query", help="run one MQCE query through the engine")
-    _add_engine_parameters(query_sub)
-    query_sub.add_argument("--repeat", type=int, default=1,
-                           help="run the query N times (repeats hit the cache)")
-    query_sub.add_argument("--output", "-o", help="write the MQCs to this file")
-    query_sub.add_argument("--json", action="store_true", help="print JSON only")
-    query_sub.set_defaults(handler=_command_engine_query)
-
-    batch_sub = engine_subparsers.add_parser(
-        "batch", help="run a gamma x theta parameter grid through one engine")
-    _add_engine_parameters(batch_sub, branching=False)
-    batch_sub.add_argument("--gammas", help="comma-separated gamma values "
-                           "(default: the single --gamma / dataset default)")
-    batch_sub.add_argument("--thetas", help="comma-separated theta values "
-                           "(default: the single --theta / dataset default)")
-    batch_sub.add_argument("--repeat", type=int, default=1,
-                           help="repeat the whole grid N times (cache demo)")
-    batch_sub.add_argument("--json", action="store_true", help="print JSON only")
-    batch_sub.set_defaults(handler=_command_engine_batch)
-
-    explain_sub = engine_subparsers.add_parser(
-        "explain", help="print the query plan without running the enumeration")
-    _add_engine_parameters(explain_sub)
-    explain_sub.add_argument("--json", action="store_true", help="print JSON only")
-    explain_sub.set_defaults(handler=_command_engine_explain)
 
     stats_sub = engine_subparsers.add_parser(
         "stats", help="prepare the graph and print its artifacts and timings")

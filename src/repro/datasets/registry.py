@@ -160,8 +160,9 @@ def load_prepared(name: str):
     """Build a registered dataset as an engine :class:`~repro.engine.PreparedGraph`.
 
     Convenience for query-engine workloads: the returned prepared graph
-    carries the dataset name (shown by ``repro engine explain``/``stats``) and
-    memoizes the preprocessing across every query made against it.
+    carries the dataset name (shown by ``repro query --explain`` and
+    ``repro engine stats``) and memoizes the preprocessing across every query
+    made against it.
     """
     from ..engine.prepared import PreparedGraph  # lazy: engine builds on datasets users
 

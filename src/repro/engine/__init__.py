@@ -1,6 +1,6 @@
 """repro.engine — a persistent MQCE query engine.
 
-The one-shot pipeline (:func:`repro.find_maximal_quasi_cliques`) re-validates,
+The one-shot pipeline (:func:`repro.run_enumeration`) re-validates,
 re-prunes and re-enumerates from scratch on every call.  This package adds
 what a database engine adds on top of an algorithm:
 

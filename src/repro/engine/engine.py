@@ -1,7 +1,7 @@
 """The MQCE query engine: prepared graphs + plan selection + result caching.
 
 :class:`MQCEEngine` is the persistent facade the one-shot
-:func:`repro.find_maximal_quasi_cliques` pipeline lacks.  A query flows
+:func:`repro.pipeline.mqce.run_enumeration` pipeline lacks.  A query flows
 through three stages:
 
 1. **Prepare** — the graph is wrapped in a
@@ -20,9 +20,9 @@ through three stages:
    so) and the result is cached.
 
 Results are regular :class:`~repro.pipeline.results.EnumerationResult`
-objects, bit-identical in content to what ``find_maximal_quasi_cliques``
-returns for the same parameters; cache hits hand out defensive copies so
-callers may mutate the lists they receive.
+objects, bit-identical in content to what ``run_enumeration`` returns for
+the same spec; cache hits hand out defensive copies so callers may mutate the
+lists they receive.
 """
 
 from __future__ import annotations
@@ -106,12 +106,14 @@ class MQCEEngine:
         Pass ``QueryPlanner(PlannerConfig(...))`` to tune plan selection.
     workers:
         Default worker budget offered to the planner for parallel plans
-        (None: let the planner use the machine's CPU count).
+        (None: let the planner use the machine's CPU count); must be >= 1.
     """
 
     def __init__(self, cache_size: int = DEFAULT_CAPACITY,
                  planner: QueryPlanner | None = None,
                  workers: int | None = None) -> None:
+        if workers is not None and workers < 1:
+            raise EngineError(f"workers must be >= 1, got {workers}")
         self.planner = planner or QueryPlanner()
         self.cache = ResultCache(cache_size)
         self.workers = workers

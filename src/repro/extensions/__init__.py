@@ -1,18 +1,18 @@
 """Extensions beyond the core MQCE pipeline.
 
 These implement the problem variants the paper discusses in its related work
-and conclusion: top-k largest quasi-clique mining (kernel expansion), query-
-driven quasi-clique search, and a parallel divide-and-conquer driver.
+and conclusion: top-k largest quasi-clique mining (kernel expansion) and a
+parallel divide-and-conquer driver.  Query-driven (containment) search is the
+``contains`` workload of :class:`repro.api.QuerySpec`.
 """
 
 from .topk import (
     expand_kernel,
-    find_largest_quasi_cliques,
     kernel_expansion_top_k,
     largest_quasi_clique_size,
     top_k_summary,
 )
-from .query import QueryError, community_of, find_quasi_cliques_containing
+from ..errors import QueryError
 from .parallel import (PARALLEL_MODES, ParallelDCFastQC, parallel_enumerate,
                        run_compact_subproblem)
 from .stealing import (ForcedStealSchedule, WorkerCrash,
@@ -20,13 +20,10 @@ from .stealing import (ForcedStealSchedule, WorkerCrash,
 
 __all__ = [
     "expand_kernel",
-    "find_largest_quasi_cliques",
     "kernel_expansion_top_k",
     "largest_quasi_clique_size",
     "top_k_summary",
     "QueryError",
-    "community_of",
-    "find_quasi_cliques_containing",
     "PARALLEL_MODES",
     "ParallelDCFastQC",
     "parallel_enumerate",

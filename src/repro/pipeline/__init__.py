@@ -5,7 +5,6 @@ from .mqce import (
     build_enumerator,
     canonical_order,
     enumerate_candidate_quasi_cliques,
-    find_maximal_quasi_cliques,
     resolve_algorithm,
     run_enumeration,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "build_enumerator",
     "canonical_order",
     "enumerate_candidate_quasi_cliques",
-    "find_maximal_quasi_cliques",
     "resolve_algorithm",
     "run_enumeration",
     "EnumerationResult",

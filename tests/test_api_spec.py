@@ -1,10 +1,9 @@
-"""Tests for the unified QuerySpec API: spec, builder, errors, shims."""
+"""Tests for the unified QuerySpec API: spec, builder, errors, engine caching."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -20,12 +19,9 @@ from repro import (
     QuerySpec,
     ReproError,
     SpecError,
-    find_largest_quasi_cliques,
-    find_maximal_quasi_cliques,
-    find_quasi_cliques_containing,
 )
 from repro.api import coerce_spec, execute, result_value, shape_result
-from repro.datasets import get_spec, load_dataset
+from repro.datasets import load_dataset
 from repro.engine import ResultCache
 
 
@@ -212,42 +208,6 @@ class TestShapeResult:
         assert result_value(execute(diamond, spec), spec) == 1
 
 
-class TestDeprecatedShims:
-    """Satellite: old kwargs entry points warn and return identical results."""
-
-    def test_find_maximal_quasi_cliques_warns_and_matches(self, diamond):
-        with pytest.warns(DeprecationWarning):
-            legacy = find_maximal_quasi_cliques(diamond, 0.6, 3)
-        via_spec = execute(diamond, QuerySpec(gamma=0.6, theta=3, algorithm="dcfastqc"))
-        assert legacy.maximal_quasi_cliques == via_spec.maximal_quasi_cliques
-        assert legacy.candidate_quasi_cliques == via_spec.candidate_quasi_cliques
-        assert legacy.algorithm == via_spec.algorithm == "dcfastqc"
-
-    def test_find_largest_quasi_cliques_warns_and_matches(self):
-        graph = load_dataset("twitter")
-        with pytest.warns(DeprecationWarning):
-            legacy = find_largest_quasi_cliques(graph, 0.9, k=2, minimum_size=3)
-        via_spec = Q(graph).gamma(0.9).theta(3).top(2).run()
-        assert legacy == via_spec
-
-    def test_find_quasi_cliques_containing_warns_and_matches(self, diamond):
-        with pytest.warns(DeprecationWarning):
-            legacy = find_quasi_cliques_containing(diamond, [1], 0.6, theta=3)
-        via_spec = Q(diamond).gamma(0.6).theta(3).containing(1).run()
-        assert legacy == via_spec
-
-    def test_engine_matches_deprecated_pipeline(self):
-        name = "kmer"
-        spec = get_spec(name)
-        graph = load_dataset(name)
-        with pytest.warns(DeprecationWarning):
-            legacy = find_maximal_quasi_cliques(graph, spec.default_gamma,
-                                                spec.default_theta)
-        result = MQCEEngine().query(graph, QuerySpec(gamma=spec.default_gamma,
-                                                     theta=spec.default_theta))
-        assert set(result.maximal_quasi_cliques) == set(legacy.maximal_quasi_cliques)
-
-
 class TestEngineSpecCaching:
     """Acceptance: ResultCache hit/miss behaviour is preserved with spec keys."""
 
@@ -307,19 +267,6 @@ class TestEngineSpecCaching:
         b = ResultCache.spec_key("fp-b", spec)
         assert a != b
         assert a == ResultCache.spec_key("fp-a", spec)
-
-
-class TestCLIQueryWarningFree:
-    def test_legacy_cli_commands_do_not_warn(self, capsys):
-        from repro.cli import main
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert main(["enumerate", "-d", "twitter"]) == 0
-            assert main(["topk", "-d", "twitter", "-k", "1"]) == 0
-            assert main(["community", "-d", "twitter", "0", "--gamma", "0.9",
-                         "--theta", "5"]) == 0
-        capsys.readouterr()
 
 
 class TestParallelField:

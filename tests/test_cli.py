@@ -25,46 +25,59 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_enumerate_defaults(self):
-        args = build_parser().parse_args(["enumerate", "-i", "x.txt", "-g", "0.9", "-t", "5"])
-        assert args.algorithm == "dcfastqc"
+        args = build_parser().parse_args(["query", "-i", "x.txt", "-g", "0.9", "-t", "5"])
+        assert args.algorithm is None  # the planner decides
         assert args.gamma == 0.9
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate"], ["topk"], ["community", "0"],
+        ["engine", "query"], ["engine", "batch"], ["engine", "explain"],
+    ])
+    def test_removed_query_verbs_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["-d", "twitter"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestEnumerateCommand:
+    """``repro query`` running the plain enumerate workload."""
+
     def test_enumerate_from_file(self, graph_file, capsys):
-        code = main(["enumerate", "-i", str(graph_file), "-g", "0.9", "-t", "5"])
+        code = main(["query", "-i", str(graph_file), "-g", "0.9", "-t", "5"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "maximal" in out
+        assert "answers for enumerate" in out
 
     def test_enumerate_json_summary(self, graph_file, capsys):
-        code = main(["enumerate", "-i", str(graph_file), "-g", "0.9", "-t", "5", "--json"])
+        code = main(["query", "-i", str(graph_file), "-g", "0.9", "-t", "5",
+                     "-a", "dcfastqc", "--json"])
         assert code == 0
-        summary = json.loads(capsys.readouterr().out)
+        summary = json.loads(capsys.readouterr().out)["result"]
         assert summary["algorithm"] == "dcfastqc"
         assert summary["maximal_count"] >= 1
 
     def test_enumerate_writes_output_file(self, graph_file, tmp_path, capsys):
         out_path = tmp_path / "mqcs.txt"
-        main(["enumerate", "-i", str(graph_file), "-g", "0.9", "-t", "5",
+        main(["query", "-i", str(graph_file), "-g", "0.9", "-t", "5",
               "-o", str(out_path)])
         capsys.readouterr()
         assert out_path.exists()
         assert out_path.read_text().strip()
 
     def test_enumerate_dataset_uses_defaults(self, capsys):
-        code = main(["enumerate", "-d", "douban", "--json"])
+        code = main(["query", "-d", "douban", "--json"])
         assert code == 0
-        summary = json.loads(capsys.readouterr().out)
+        summary = json.loads(capsys.readouterr().out)["result"]
         assert summary["maximal_count"] >= 1
 
     def test_enumerate_missing_parameters(self, graph_file):
         with pytest.raises(SystemExit):
-            main(["enumerate", "-i", str(graph_file)])
+            main(["query", "-i", str(graph_file)])
 
     def test_enumerate_missing_input(self):
         with pytest.raises(SystemExit):
-            main(["enumerate", "-g", "0.9", "-t", "5"])
+            main(["query", "-g", "0.9", "-t", "5"])
 
 
 class TestOtherCommands:

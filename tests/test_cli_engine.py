@@ -1,4 +1,4 @@
-"""Tests for the `repro engine` CLI sub-command group."""
+"""Tests for the engine-backed CLI: ``repro query`` plans/explain and ``repro engine stats``."""
 
 from __future__ import annotations
 
@@ -25,45 +25,40 @@ class TestParser:
             build_parser().parse_args(["engine"])
 
     def test_engine_query_defaults(self):
-        args = build_parser().parse_args(["engine", "query", "-d", "ca-grqc"])
-        assert args.algorithm == "auto"
-        assert args.repeat == 1
+        args = build_parser().parse_args(["query", "-d", "ca-grqc"])
+        assert args.algorithm is None  # the planner decides
+        assert args.workers is None
 
     def test_engine_query_requires_graph(self):
         with pytest.raises(SystemExit):
-            main(["engine", "query", "-g", "0.9", "-t", "5"])
+            main(["query", "-g", "0.9", "-t", "5"])
 
 
 class TestEngineQuery:
-    def test_query_on_dataset_defaults(self, capsys):
-        code = main(["engine", "query", "-d", "twitter"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "maximal" in out
-        assert "engine:" in out
+    """``repro query`` runs through one :class:`MQCEEngine` (plan + cache)."""
 
-    def test_repeat_reports_cache_hits(self, capsys):
-        code = main(["engine", "query", "-d", "twitter", "--repeat", "3"])
+    def test_query_on_dataset_defaults(self, capsys):
+        code = main(["query", "-d", "twitter"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "2 cache hits" in out
+        assert "# 3 answers for enumerate gamma=0.9 theta=5" in out
 
     def test_query_json_includes_plan_and_stats(self, capsys):
-        code = main(["engine", "query", "-d", "twitter", "--json", "--repeat", "2"])
+        code = main(["query", "-d", "twitter", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["result"]["maximal_count"] >= 1
+        assert payload["result"]["branches_explored"] >= 1
         assert payload["plan"]["algorithm"] in ("dcfastqc", "fastqc")
-        assert payload["engine"]["cache"]["hits"] == 1
 
     def test_query_from_edge_list_file(self, graph_file, capsys):
-        code = main(["engine", "query", "-i", str(graph_file), "-g", "0.9", "-t", "5"])
+        code = main(["query", "-i", str(graph_file), "-g", "0.9", "-t", "5"])
         assert code == 0
-        assert "maximal" in capsys.readouterr().out
+        assert "answers" in capsys.readouterr().out
 
     def test_query_writes_output_file(self, graph_file, tmp_path, capsys):
         out_path = tmp_path / "mqcs.txt"
-        code = main(["engine", "query", "-i", str(graph_file), "-g", "0.9",
+        code = main(["query", "-i", str(graph_file), "-g", "0.9",
                      "-t", "5", "-o", str(out_path)])
         assert code == 0
         assert out_path.exists()
@@ -71,47 +66,32 @@ class TestEngineQuery:
 
 
 class TestEngineExplain:
+    """``repro query --explain`` prints the engine's plan without enumerating."""
+
     def test_explain_prints_plan_without_enumerating(self, capsys):
-        code = main(["engine", "explain", "-d", "ca-grqc"])
+        code = main(["query", "-d", "ca-grqc", "--explain"])
         assert code == 0
         out = capsys.readouterr().out
         assert "QueryPlan" in out
         assert "algorithm:" in out
         assert "reduction:" in out
         # No quasi-clique listing: explain never enumerates.
-        assert "maximal" not in out
+        assert "answers" not in out
 
     def test_explain_json(self, capsys):
-        code = main(["engine", "explain", "-d", "ca-grqc", "--json"])
+        code = main(["query", "-d", "ca-grqc", "--explain", "--json"])
         assert code == 0
-        plan = json.loads(capsys.readouterr().out)
+        plan = json.loads(capsys.readouterr().out)["plan"]
         assert plan["algorithm"] == "dcfastqc"
         assert plan["core_vertices_kept"] + plan["core_vertices_removed"] \
             == plan["graph_vertices"]
 
     def test_explain_honours_forced_algorithm(self, capsys):
-        code = main(["engine", "explain", "-d", "ca-grqc",
+        code = main(["query", "-d", "ca-grqc", "--explain",
                      "--algorithm", "quickplus", "--json"])
         assert code == 0
-        plan = json.loads(capsys.readouterr().out)
+        plan = json.loads(capsys.readouterr().out)["plan"]
         assert plan["algorithm"] == "quickplus"
-
-
-class TestEngineBatch:
-    def test_batch_grid_with_cache(self, capsys):
-        code = main(["engine", "batch", "-d", "twitter",
-                     "--gammas", "0.9,0.92", "--thetas", "4,5", "--repeat", "2"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "gamma" in out
-        assert "4 served from cache" in out
-
-    def test_batch_json(self, capsys):
-        code = main(["engine", "batch", "-d", "twitter", "--json"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert len(payload["rows"]) == 1
-        assert payload["queries_per_second"] > 0
 
 
 class TestEngineStats:

@@ -1,4 +1,4 @@
-"""Tests for the CLI sub-commands that expose the extensions (topk, community)."""
+"""Tests for the ``repro query`` workloads that cover the extensions (top-k, containment)."""
 
 from __future__ import annotations
 
@@ -18,47 +18,46 @@ def graph_file(tmp_path):
 
 
 class TestTopkCommand:
+    """``repro query --top K``: the k largest answers of size >= theta."""
+
     def test_exact_topk(self, graph_file, capsys):
-        code = main(["topk", "-i", str(graph_file), "-g", "0.9", "-k", "2", "--min-size", "4"])
+        code = main(["query", "-i", str(graph_file), "-g", "0.9", "--top", "2", "-t", "4"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "top-2 largest 0.9-quasi-cliques (exact)" in out
-        assert "1. size" in out
-
-    def test_heuristic_topk(self, graph_file, capsys):
-        code = main(["topk", "-i", str(graph_file), "-g", "0.9", "-k", "1",
-                     "--min-size", "4", "--heuristic"])
-        assert code == 0
-        assert "kernel expansion" in capsys.readouterr().out
+        assert "# 2 answers for topk gamma=0.9 theta=4 k=2" in out
 
     def test_dataset_defaults(self, capsys):
-        code = main(["topk", "-d", "douban", "-k", "1", "--min-size", "5"])
+        code = main(["query", "-d", "douban", "--top", "1", "-t", "5"])
         assert code == 0
-        assert "size" in capsys.readouterr().out
+        assert "# 1 answers for topk" in capsys.readouterr().out
 
     def test_missing_gamma(self, graph_file):
         with pytest.raises(SystemExit):
-            main(["topk", "-i", str(graph_file)])
+            main(["query", "-i", str(graph_file), "--top", "3"])
 
 
 class TestCommunityCommand:
-    def test_community_of_planted_member(self, graph_file, capsys):
-        code = main(["community", "-i", str(graph_file), "-g", "0.85", "-t", "4", "0"])
+    """``repro query --containing V...``: the quasi-cliques around query vertices."""
+
+    def test_community_around_planted_member(self, graph_file, capsys):
+        code = main(["query", "-i", str(graph_file), "-g", "0.85", "-t", "4",
+                     "--containing", "0"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "containing 0" in out
-        assert "quasi-cliques" in out
+        assert "answers for containment" in out
+        assert "containing=0 " in out
 
     def test_community_with_dataset_defaults(self, capsys):
-        code = main(["community", "-d", "douban", "0"])
+        code = main(["query", "-d", "douban", "--containing", "0"])
         assert code == 0
-        assert "containing 0" in capsys.readouterr().out
+        assert "containing=0 " in capsys.readouterr().out
 
     def test_missing_parameters(self, graph_file):
         with pytest.raises(SystemExit):
-            main(["community", "-i", str(graph_file), "0"])
+            main(["query", "-i", str(graph_file), "--containing", "0"])
 
     def test_multiple_query_vertices(self, graph_file, capsys):
-        code = main(["community", "-i", str(graph_file), "-g", "0.85", "-t", "4", "0", "1"])
+        code = main(["query", "-i", str(graph_file), "-g", "0.85", "-t", "4",
+                     "--containing", "0", "1"])
         assert code == 0
-        assert "containing 0, 1" in capsys.readouterr().out
+        assert "containing=0,1" in capsys.readouterr().out

@@ -134,9 +134,17 @@ class TestErrorMapping:
         assert main(["query", "-d", "twitter", "--containing", "no-such-vertex"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_legacy_commands_also_mapped(self, capsys):
-        assert main(["enumerate", "-d", "twitter", "--gamma", "0.3"]) == 2
+    def test_gamma_below_half_exits_2(self, capsys):
+        assert main(["query", "-d", "twitter", "--gamma", "0.3"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_non_positive_workers_exits_2(self, workers, capsys):
+        assert main(["query", "-d", "twitter", "--workers", workers,
+                     "--parallel", "branch"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: workers must be >= 1")
 
     def test_unknown_dataset_exits_2_with_one_line(self, capsys):
         assert main(["query", "-d", "nosuch", "-g", "0.9", "-t", "5"]) == 2

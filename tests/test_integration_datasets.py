@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ParallelDCFastQC, find_maximal_quasi_cliques
+from repro import ParallelDCFastQC, QuerySpec, run_enumeration
 from repro.datasets import get_spec
 from repro.quasiclique import is_quasi_clique, satisfies_maximality_necessary_condition
 
@@ -25,7 +25,8 @@ def dataset_results():
     for name in SMALL_ANALOGUES:
         spec = get_spec(name)
         graph = spec.build()
-        result = find_maximal_quasi_cliques(graph, spec.default_gamma, spec.default_theta)
+        result = run_enumeration(graph, QuerySpec(gamma=spec.default_gamma,
+                                                  theta=spec.default_theta))
         results[name] = (spec, graph, result)
     return results
 
@@ -34,23 +35,26 @@ class TestAlgorithmsAgreeOnDatasets:
     @pytest.mark.parametrize("name", SMALL_ANALOGUES)
     def test_quickplus_matches_dcfastqc(self, dataset_results, name):
         spec, graph, reference = dataset_results[name]
-        quick = find_maximal_quasi_cliques(graph, spec.default_gamma, spec.default_theta,
-                                           algorithm="quickplus")
+        quick = run_enumeration(graph, QuerySpec(gamma=spec.default_gamma,
+                                                 theta=spec.default_theta,
+                                                 algorithm="quickplus"))
         assert set(quick.maximal_quasi_cliques) == set(reference.maximal_quasi_cliques)
 
     @pytest.mark.parametrize("name", SMALL_ANALOGUES)
     def test_fastqc_matches_dcfastqc(self, dataset_results, name):
         spec, graph, reference = dataset_results[name]
-        fast = find_maximal_quasi_cliques(graph, spec.default_gamma, spec.default_theta,
-                                          algorithm="fastqc")
+        fast = run_enumeration(graph, QuerySpec(gamma=spec.default_gamma,
+                                                theta=spec.default_theta,
+                                                algorithm="fastqc"))
         assert set(fast.maximal_quasi_cliques) == set(reference.maximal_quasi_cliques)
 
     @pytest.mark.parametrize("name", ["douban", "twitter"])
     def test_branching_variants_match(self, dataset_results, name):
         spec, graph, reference = dataset_results[name]
         for branching in ("sym-se", "se"):
-            result = find_maximal_quasi_cliques(graph, spec.default_gamma,
-                                                spec.default_theta, branching=branching)
+            result = run_enumeration(graph, QuerySpec(gamma=spec.default_gamma,
+                                                      theta=spec.default_theta,
+                                                      branching=branching))
             assert set(result.maximal_quasi_cliques) == set(reference.maximal_quasi_cliques)
 
     @pytest.mark.parametrize("name", ["douban", "kmer"])
