@@ -1,15 +1,14 @@
-"""Parallel-tier guard: work-stealing branch mode vs whole-subproblem sharding.
+"""Parallel-tier guard: the work-stealing pool splits a dominant subproblem.
 
-The PR-10 acceptance bar: on a planted-community graph whose single dominant
-subproblem holds ~60% of all branches, branch-parallel execution at 4 workers
-must beat sharding by >= 2x on the critical path — the largest subproblem's
-branch count (which lower-bounds shard wall-clock) over the busiest
-branch-parallel worker's branch count.  Branch counts are machine-independent,
-so the bar holds on single-core CI hosts where wall-clock parallel speedup is
-physically impossible; on hosts with >= 4 cores the wall-clock ratio is
-asserted too.  Both modes are parity-checked against the sequential ledger
-kernel, and the planner must auto-select branch mode on the skewed row (and
-keep shard on the uniform one) from the observed branch histogram.
+The acceptance bar: on a planted-community graph whose single dominant
+subproblem holds ~60% of all branches, the work-stealing pool at 4 workers
+must cut the critical path by >= 2x — the largest subproblem's branch count
+(which lower-bounds any run that keeps subproblems whole) over the busiest
+pool worker's branch count.  Branch counts are machine-independent, so the
+bar holds on single-core CI hosts where wall-clock parallel speedup is
+physically impossible; on hosts with >= 4 cores the sequential-over-pool
+wall-clock ratio is asserted too.  Every run is parity-checked against the
+sequential ledger kernel.
 
 The measurement lives in ``scripts/bench_trajectory.py`` (the ``parallel``
 suite recorded into ``BENCH_core.json``); this file reuses that suite so the
@@ -38,11 +37,8 @@ from bench_trajectory import (  # noqa: E402
     run_parallel_suite,
 )
 
-#: The ISSUE acceptance bar on the skewed row's critical-path ratio.
+#: The acceptance bar on the skewed row's critical-path ratio.
 MIN_BALANCE_SPEEDUP = 2.0
-#: Steal-protocol overhead ceiling on the un-skewed row (wall-clock; only
-#: meaningful on hosts that can actually run the workers in parallel).
-MAX_UNIFORM_OVERHEAD = 0.10
 
 _cache: dict | None = None
 
@@ -86,26 +82,7 @@ def test_wall_clock_tracks_the_balance_on_multicore_hosts():
             f"{row['balance_speedup']}x balance speedup by more than 25%")
 
 
-def test_steal_overhead_on_uniform_input():
-    """Un-skewed row: stealing must not regress the balanced case > 10%."""
-    for name, row in _rows("uniform").items():
-        if row["single_core"]:
-            pytest.skip("wall-clock overhead is dominated by timesharing on "
-                        "a single-core host")
-        assert row["branch_s"] <= (1.0 + MAX_UNIFORM_OVERHEAD) * row["shard_s"], (
-            f"{name}: branch {row['branch_s']}s vs shard {row['shard_s']}s "
-            f"exceeds the {MAX_UNIFORM_OVERHEAD:.0%} overhead budget")
-
-
 def test_answers_match_the_sequential_ledger_kernel():
-    """Both modes' candidate sets are identical to the sequential run's."""
+    """The pool's candidate sets are identical to the sequential run's."""
     for name, row in _suite_record()["datasets"].items():
         assert row["parity"], f"{name}: parity flag not set"
-
-
-def test_planner_auto_selects_from_observed_branch_histograms():
-    """Skewed -> branch, uniform -> shard (the suite raises otherwise)."""
-    for row in _rows("skewed").values():
-        assert row["auto_mode"] == "branch"
-    for row in _rows("uniform").values():
-        assert row["auto_mode"] == "shard"

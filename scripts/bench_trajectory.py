@@ -19,18 +19,17 @@ trajectory record to ``BENCH_core.json`` at the repository root:
   its own subprocess so peak RSS isolates one representation; the recorded
   ``speedup`` is the dict-over-CSR peak-RSS ratio and the row includes one
   budgeted enumerate query per backend;
-* ``parallel`` — shard vs work-stealing branch parallelism at 4 workers on a
-  planted-community graph whose one dominant subproblem serializes shard mode
-  (10^5 vertices full, 2*10^4 quick), plus a steal-overhead row on an
+* ``parallel`` — the work-stealing pool at 4 workers on a planted-community
+  graph whose one dominant subproblem would serialize any run that keeps
+  subproblems whole (10^5 vertices full, 2*10^4 quick), plus a row on an
   un-skewed multi-community graph.  The recorded ``speedup`` of the skewed
   row is the machine-independent *balance* speedup — largest subproblem's
-  branch count over the busiest branch-parallel worker's branch count, i.e.
-  the critical-path ratio — so the number is comparable across hosts with
-  different core counts (wall-clock ratios are recorded next to it, flagged
-  ``single_core`` when the host cannot physically show parallel wall-clock
-  wins).  Both modes are parity-checked against the sequential ledger kernel
-  and the row asserts the planner auto-selects the right mode from the
-  observed branch histogram.
+  branch count over the busiest pool worker's branch count, i.e. the
+  critical-path ratio — so the number is comparable across hosts with
+  different core counts (the sequential-over-pool wall ratio is recorded
+  next to it, flagged ``single_core`` when the host cannot physically show
+  parallel wall-clock wins).  Every run is parity-checked against the
+  sequential ledger kernel.
 
 Committing the file after a perf-relevant change gives the repo a recorded
 perf trajectory that later PRs can regress against — one file, every
@@ -134,8 +133,8 @@ LARGE_GRAPH_SEED = 13
 #: seed, gamma, theta, kind).  "skewed" plants one dense community whose
 #: subtree holds ~60% of all branches (a descending chain of similar-size
 #: balls, so size proxies cannot see the skew — only branch counts can);
-#: "uniform" plants several equal communities so shard mode load-balances and
-#: the row measures pure steal-protocol overhead.
+#: "uniform" plants several equal communities, so whole subproblems already
+#: balance and the row measures the pool against the sequential driver.
 PARALLEL_FULL = (
     ("planted-skew-100k", 100_000, 200_000, (32,), 7, 0.9, 10, "skewed"),
     ("planted-uniform-20k", 20_000, 40_000, (24,) * 16, 9, 0.9, 10, "uniform"),
@@ -451,22 +450,19 @@ def run_large_graph_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
 
 
 def run_parallel_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
-    """Shard vs work-stealing branch parallelism on planted-community graphs.
+    """Sequential vs the work-stealing pool on planted-community graphs.
 
-    Each row runs the same query three ways — sequential ledger DCFastQC
-    (the parity oracle), shard mode and branch mode, both at
-    :data:`PARALLEL_WORKERS` workers — and then replans the query from the
-    observed branch histogram to check the planner picks the mode the
-    measurements favour.  The skewed row's ``speedup`` is the critical-path
-    (balance) ratio: the largest subproblem's branch count, which lower-bounds
-    shard wall-clock, over the busiest branch-parallel worker's branch count.
-    Branch counts are machine-independent, so the recorded trajectory is
-    comparable across hosts; wall-clock ratios ride along, with
-    ``single_core`` flagging hosts where parallel wall-clock wins are
-    physically impossible.  The uniform row's ``speedup`` is the shard/branch
-    wall ratio (>= 0.9 means stealing costs under 10% on un-skewed input).
+    Each row runs the same query two ways — sequential ledger DCFastQC (the
+    parity oracle) and the work-stealing pool at :data:`PARALLEL_WORKERS`
+    workers.  The skewed row's ``speedup`` is the critical-path (balance)
+    ratio: the largest subproblem's branch count, which lower-bounds the wall
+    clock of any run that keeps subproblems whole, over the busiest pool
+    worker's branch count.  Branch counts are machine-independent, so the
+    recorded trajectory is comparable across hosts.  ``wall_speedup`` is the
+    sequential-over-pool wall ratio, with ``single_core`` flagging hosts where
+    parallel wall-clock wins are physically impossible; it is the uniform
+    row's ``speedup``.
     """
-    from repro.engine.planner import PlannerConfig, QueryPlanner
     from repro.extensions.parallel import LAST_PARALLEL_RUN, ParallelDCFastQC
     from repro.graph.generators import planted_quasi_clique_graph
 
@@ -482,47 +478,23 @@ def run_parallel_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
             repeat, lambda: DCFastQC(graph, gamma, theta, kernel="ledger"),
             lambda algo: algo.enumerate())
         branch_histogram = driver.statistics.subproblem_branches
-        expected = _canonical(sequential_results)
-
-        shard_s, _, shard_results = _best_of(
-            repeat, lambda: ParallelDCFastQC(graph, gamma, theta,
-                                             workers=PARALLEL_WORKERS,
-                                             mode="shard"),
-            lambda runner: runner.enumerate())
         branch_s, branch_runner, branch_results = _best_of(
             repeat, lambda: ParallelDCFastQC(graph, gamma, theta,
-                                             workers=PARALLEL_WORKERS,
-                                             mode="branch"),
+                                             workers=PARALLEL_WORKERS),
             lambda runner: runner.enumerate())
-        if _canonical(shard_results) != expected:
-            raise AssertionError(f"{name}: shard answers diverged from sequential")
-        if _canonical(branch_results) != expected:
-            raise AssertionError(f"{name}: branch answers diverged from sequential")
+        if branch_runner.mode_selected != "branch":
+            raise AssertionError(f"{name}: the pool fell back to "
+                                 f"{branch_runner.mode_selected!r}")
+        if _canonical(branch_results) != _canonical(sequential_results):
+            raise AssertionError(f"{name}: pool answers diverged from sequential")
 
         worker_branches = LAST_PARALLEL_RUN.get("worker_branches", {})
         steals = branch_runner.statistics.steals
         busiest = max(worker_branches.values()) if worker_branches else 0
         balance_speedup = (round(branch_histogram.max / busiest, 2)
                           if busiest else 0.0)
-        wall_speedup = round(shard_s / branch_s, 2) if branch_s else float("inf")
-
-        # Replan from the run's own evidence: the planner must pick branch
-        # mode on the skewed row and keep shard on the uniform one.
-        prepared = PreparedGraph(graph)
-        prepared.record_subproblem_histogram(
-            gamma, theta, driver.statistics.subproblem_sizes)
-        prepared.record_subproblem_histogram(
-            gamma, theta, branch_histogram, kind="branches")
-        plan = QueryPlanner(PlannerConfig(max_workers=PARALLEL_WORKERS)).plan(
-            prepared, gamma, theta, workers=PARALLEL_WORKERS)
-        expected_mode = "branch" if kind == "skewed" else "shard"
-        if plan.parallel_mode != expected_mode:
-            raise AssertionError(
-                f"{name}: planner picked {plan.parallel_mode!r} from the "
-                f"observed branch histogram, expected {expected_mode!r} "
-                f"(skew {plan.skew_ratio:.2f} vs threshold "
-                f"{plan.skew_threshold:.2f})")
-
+        wall_speedup = (round(sequential_s / branch_s, 2) if branch_s
+                        else float("inf"))
         row = {
             "gamma": gamma,
             "theta": theta,
@@ -534,39 +506,32 @@ def run_parallel_suite(suite, repeat: int = 1, verbose: bool = True) -> dict:
             "subproblems": branch_histogram.count,
             "largest_subproblem_branches": branch_histogram.max,
             "sequential_s": round(sequential_s, 3),
-            "shard_s": round(shard_s, 3),
             "branch_s": round(branch_s, 3),
             "steals": steals,
             "busiest_worker_branches": busiest,
             "balance_speedup": balance_speedup,
             "wall_speedup": wall_speedup,
             "single_core": not multicore,
-            "auto_mode": plan.parallel_mode,
-            "skew_ratio": round(plan.skew_ratio, 3),
             "parity": True,
             "speedup": balance_speedup if kind == "skewed" else wall_speedup,
         }
         rows[name] = row
         if verbose:
             print(f"parallel   {name:18s} gamma={gamma} theta={theta} "
-                  f"[{kind}]: shard {row['shard_s']:.2f}s vs branch "
+                  f"[{kind}]: sequential {row['sequential_s']:.2f}s vs pool "
                   f"{row['branch_s']:.2f}s, balance {balance_speedup}x "
-                  f"({steals} steals, auto={plan.parallel_mode}"
+                  f"({steals} steals"
                   f"{', single-core host' if not multicore else ''})")
     return {
-        "workload": ("shard vs work-stealing branch parallelism at "
+        "workload": ("sequential vs the work-stealing pool at "
                      f"{PARALLEL_WORKERS} workers (planted-community graphs, "
                      "sequential-parity checked)"),
-        "modes": ["shard", "branch"],
+        "modes": ["sequential", "branch"],
         "datasets": rows,
         "summary": {
             "geomean_speedup": round(
                 _geomean(r["speedup"] for r in rows.values()
                          if r["kind"] == "skewed"), 2),
-            "uniform_overhead_pct": next(
-                (round((r["branch_s"] / r["shard_s"] - 1.0) * 100, 1)
-                 for r in rows.values() if r["kind"] == "uniform"
-                 and r["shard_s"]), None),
         },
     }
 
@@ -627,8 +592,8 @@ def main(argv=None) -> int:
     parser.add_argument("--assert-branch-speedup", type=float, default=None,
                         metavar="FLOOR",
                         help="parallel suite: the skewed row's balance speedup "
-                        "(branch mode's critical path vs shard's) must reach "
-                        "this factor")
+                        "(largest subproblem vs busiest pool worker, in "
+                        "branches) must reach this factor")
     parser.add_argument("--assert-count", type=int, default=2, metavar="N",
                         help="how many datasets must meet each floor (default 2)")
     args = parser.parse_args(argv)

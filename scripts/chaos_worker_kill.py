@@ -1,18 +1,16 @@
 #!/usr/bin/env python
-"""Chaos-smoke legs: kill workers mid-task and prove full recovery.
+"""Chaos-smoke legs: fail workers mid-task and prove full recovery.
 
-Leg 1 (shard pool): arms the ``engine.subproblem`` fault site to SIGKILL a
-process-pool worker on its first subproblem, runs
-``ParallelDCFastQC(mode="shard")`` with one subproblem per pool task, and
-requires the broken pool to fall back to the sequential path with an answer
-identical to a clean sequential DCFastQC run.
+Leg 1 (raise): arms the ``worker.task`` fault site to raise inside a
+work-stealing pool worker on its first task, runs ``ParallelDCFastQC`` and
+requires the failed run to fall back to the sequential path with an answer
+identical to a clean sequential DCFastQC run, and the fallback to be
+recorded in ``LAST_PARALLEL_RUN``.
 
-Leg 2 (branch-parallel): arms the ``worker.task`` fault site to SIGKILL a
-work-stealing branch-parallel worker mid-task, runs
-``ParallelDCFastQC(mode="branch")`` and requires the crash to fall back to the
-sequential path with an answer identical to a clean sequential run — and, the
-point of the leg, that every ``/dev/shm`` shared-memory segment the steal
-coordinator published was unlinked despite the crash.
+Leg 2 (kill): arms the same site to SIGKILL a pool worker mid-task and
+requires the same fallback parity — and, the point of the leg, that the
+shared-memory segment the coordinator published was unlinked despite the
+crash.
 
 Run from the repo root:  PYTHONPATH=src python scripts/chaos_worker_kill.py
 """
@@ -27,7 +25,7 @@ sys.path.insert(0, "src")
 
 from repro import Graph
 from repro.core.dcfastqc import DCFastQC
-from repro.extensions.parallel import ParallelDCFastQC
+from repro.extensions.parallel import LAST_PARALLEL_RUN, ParallelDCFastQC
 from repro.extensions.stealing import SEGMENT_PREFIX
 from repro.resilience.faults import install_plan, reset_plan
 from repro.settrie.filter import filter_non_maximal
@@ -46,27 +44,28 @@ def _random_graph(seed: int = 11, vertices: int = 36, edges: int = 260) -> Graph
 
 
 def main() -> int:
-    shard_pool_leg()
-    branch_parallel_leg()
+    raise_leg()
+    kill_leg()
     return 0
 
 
-def _killed_run_falls_back(leg: str, graph: Graph, plan: str,
-                           **runner_kwargs) -> int:
-    """Run ``ParallelDCFastQC`` under a kill ``plan``; require the sequential
-    fallback with exact parity.  Returns the answer count."""
+def _failed_run_falls_back(leg: str, graph: Graph, plan: str) -> int:
+    """Run ``ParallelDCFastQC`` under a fault ``plan``; require the recorded
+    sequential fallback with exact parity.  Returns the answer count."""
     expected = set(filter_non_maximal(
         DCFastQC(graph, GAMMA, THETA).enumerate(), theta=THETA))
     install_plan(plan)
     try:
-        runner = ParallelDCFastQC(graph, GAMMA, THETA, workers=2,
-                                  **runner_kwargs)
+        runner = ParallelDCFastQC(graph, GAMMA, THETA, workers=2)
         answers = set(runner.find_maximal())
     finally:
         reset_plan()
     if runner.mode_selected != "sequential":
-        raise SystemExit(f"the killed {leg} worker did not trigger the "
+        raise SystemExit(f"the failed {leg} worker did not trigger the "
                          f"sequential fallback (got {runner.mode_selected!r})")
+    if "fallback" not in LAST_PARALLEL_RUN:
+        raise SystemExit(f"the {leg} fallback was not recorded: "
+                         f"{LAST_PARALLEL_RUN}")
     if answers != expected:
         raise SystemExit(
             f"{leg} fallback parity broken: {len(answers)} cliques "
@@ -74,26 +73,24 @@ def _killed_run_falls_back(leg: str, graph: Graph, plan: str,
     return len(answers)
 
 
-def shard_pool_leg() -> None:
-    """SIGKILL a shard-mode pool worker; require sequential-fallback parity."""
-    # chunk_size=1 ships one subproblem per task, so a real pool runs.
-    count = _killed_run_falls_back("shard-pool", _random_graph(),
-                                   "engine.subproblem:kill:times=1",
-                                   chunk_size=1, mode="shard")
-    print(f"shard-pool kill: sequential fallback matches parity "
+def raise_leg() -> None:
+    """A pool worker raises; require recorded sequential-fallback parity."""
+    count = _failed_run_falls_back("raise", _random_graph(),
+                                   "worker.task:raise:times=1")
+    print(f"pool-worker raise: sequential fallback matches parity "
           f"({count} cliques)")
 
 
-def branch_parallel_leg() -> None:
-    """SIGKILL a branch-parallel steal worker; require fallback parity and
-    zero leaked shared-memory segments."""
-    count = _killed_run_falls_back("branch-parallel", _random_graph(seed=23),
-                                   "worker.task:kill:times=1", mode="branch")
+def kill_leg() -> None:
+    """SIGKILL a pool worker; require fallback parity and zero leaked
+    shared-memory segments."""
+    count = _failed_run_falls_back("kill", _random_graph(seed=23),
+                                   "worker.task:kill:times=1")
     leaked = glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")
     if leaked:
         raise SystemExit(f"leaked shared-memory segments after the worker "
                          f"kill: {leaked}")
-    print(f"branch-parallel kill: sequential fallback matches parity "
+    print(f"pool-worker kill: sequential fallback matches parity "
           f"({count} cliques), /dev/shm clean")
 
 

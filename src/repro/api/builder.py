@@ -154,7 +154,8 @@ class Q:
         return QuasiCliqueStream(
             self._plain_graph(), spec.gamma, spec.theta, algorithm=spec.algorithm,
             branching=spec.branching, framework=spec.framework,
-            max_rounds=spec.max_rounds, maximality_filter=spec.maximality_filter,
+            kernel=spec.kernel, max_rounds=spec.max_rounds,
+            maximality_filter=spec.maximality_filter,
             time_limit=spec.time_limit, max_results=spec.max_results)
 
     def explain(self, engine=None):

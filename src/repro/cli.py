@@ -47,7 +47,7 @@ import sys
 import time
 from pathlib import Path
 
-from .api import QuerySpec
+from .api import QuerySpec, shape_result
 from .api.spec import SPEC_PARALLEL_MODES
 from .core.dcfastqc import DC_FRAMEWORKS
 from .core.kernel import KERNELS
@@ -139,9 +139,9 @@ def _command_ingest(args: argparse.Namespace) -> int:
     if args.gamma is not None or args.theta is not None:
         if args.gamma is None or args.theta is None:
             raise SystemExit("--gamma and --theta must be given together")
-        result = run_enumeration(graph, QuerySpec(
-            gamma=args.gamma, theta=args.theta, time_limit=args.time_limit,
-            max_results=args.limit))
+        spec = QuerySpec(gamma=args.gamma, theta=args.theta,
+                         time_limit=args.time_limit, max_results=args.limit)
+        result = shape_result(run_enumeration(graph, spec), spec)
         report.update({
             "gamma": args.gamma,
             "theta": args.theta,
@@ -611,10 +611,10 @@ def build_parser() -> argparse.ArgumentParser:
     query_parser.add_argument("--max-rounds", type=int, help="subproblem shrinking rounds")
     query_parser.add_argument("--parallel", choices=SPEC_PARALLEL_MODES,
                               help="parallel execution mode: auto lets the "
-                              "planner pick shard or work-stealing branch "
-                              "parallelism from the subproblem-size histogram")
+                              "planner decide whether to run the work-stealing "
+                              "pool, branch forces it, none disables it")
     query_parser.add_argument("--workers", type=int, metavar="N",
-                              help="process-pool size for parallel plans")
+                              help="worker-pool size for parallel plans")
     query_parser.add_argument("--containing", nargs="+", metavar="VERTEX",
                               help="only quasi-cliques containing these vertices")
     query_parser.add_argument("--top", type=int, metavar="K",
@@ -666,8 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
                                help="also run one enumerate query: minimum size")
     ingest_parser.add_argument("--time-limit", type=float,
                                help="query budget in seconds (best-effort subset)")
-    ingest_parser.add_argument("--limit", type=int,
-                               help="stop the query after this many answers")
+    ingest_parser.add_argument("--limit", type=int, metavar="N",
+                               help="report at most N answers")
     ingest_parser.add_argument("--json", action="store_true",
                                help="print a JSON report instead of text")
     ingest_parser.set_defaults(handler=_command_ingest)

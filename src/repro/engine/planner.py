@@ -25,8 +25,6 @@ from dataclasses import dataclass, field, asdict
 
 from ..api.spec import SPEC_PARALLEL_MODES
 from ..core.kernel import KERNELS
-from ..extensions.parallel import (BRANCH_OVERHEAD, branch_histogram_skew,
-                                   branch_mode_wins, histogram_skew)
 from ..obs.metrics import REGISTRY
 from ..pipeline.mqce import ALGORITHMS
 from ..quasiclique.definitions import gamma_fraction, validate_parameters
@@ -37,7 +35,7 @@ _PLANS = REGISTRY.counter(
     "Plans served by QueryPlanner.plan, by chosen algorithm and source")
 _PARALLEL_PLANS = REGISTRY.counter(
     "repro_planner_parallel_plans_total",
-    "Plans that fan divide-and-conquer subproblems out to a process pool")
+    "Plans that fan divide-and-conquer subproblems out to the worker pool")
 _TRIVIAL_PLANS = REGISTRY.counter(
     "repro_planner_trivial_plans_total",
     "Plans where preprocessing proved the answer empty")
@@ -85,21 +83,12 @@ class QueryPlan:
     eligible_components: int
     size_upper_bound: int
     estimated_cost: float
-    #: How a parallel plan executes: "none" (serial), "shard" (whole-subproblem
-    #: fan-out) or "branch" (work-stealing inside subproblems).  The skew
-    #: fields record the decision's inputs: the largest subproblem's estimated
-    #: share of the total work, the share above which branch mode wins at this
-    #: worker count, the largest histogram entry itself, and where the
-    #: histogram came from — "observed-branches" (per-subproblem branch counts
-    #: from a completed run; work measured directly, linear weights),
-    #: "observed-sizes" (ball sizes from a completed run; quadratic proxy) or
-    #: "estimated" (the planner's sampled two-hop estimate; quadratic proxy).
-    parallel_mode: str = "none"
-    skew_ratio: float = 0.0
-    skew_threshold: float = 0.0
-    largest_subproblem: int = 0
-    histogram_source: str = "none"
     reasons: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def parallel_mode(self) -> str:
+        """How the plan executes: "branch" (the work-stealing pool) or "none"."""
+        return "branch" if self.parallel else "none"
 
     @property
     def trivial(self) -> bool:
@@ -128,15 +117,6 @@ class QueryPlan:
             f"{self.size_upper_bound} vertices (degeneracy bound)",
             f"  est. cost:  {self.estimated_cost:.3g} relative units",
         ]
-        if self.parallel:
-            unit = ("branches" if self.histogram_source == "observed-branches"
-                    else "vertices")
-            lines.append(
-                f"  parallel:   {self.parallel_mode} mode — largest subproblem "
-                f"({self.largest_subproblem} {unit}) holds "
-                f"{self.skew_ratio:.0%} of the estimated work "
-                f"(branch threshold {self.skew_threshold:.0%} at "
-                f"{self.workers} workers, {self.histogram_source} histogram)")
         if self.trivial:
             lines.append("  verdict:    TRIVIAL — the answer is provably empty; "
                          "enumeration will be skipped")
@@ -176,11 +156,10 @@ class QueryPlanner:
         ``kernel`` and ``workers`` likewise override the planner when given.
         ``parallel`` requests an execution mode
         (:data:`~repro.api.spec.SPEC_PARALLEL_MODES`): with ``"auto"`` the
-        planner reads the subproblem-size histogram — a completed run's
-        observed one if the prepared graph has it, else a sampled two-hop
-        estimate — and picks work-stealing branch parallelism when the largest
-        subproblem dominates.  Planning never runs the enumeration: it reads
-        only memoized artifacts.
+        planner fans out to the work-stealing pool when the core is large or
+        a completed run observed enough branches, ``"branch"`` forces the
+        pool and ``"none"`` disables it.  Planning never runs the
+        enumeration: it reads only memoized artifacts.
         """
         validate_parameters(gamma, theta)
         if algorithm != "auto" and algorithm not in ALGORITHMS:
@@ -195,8 +174,7 @@ class QueryPlanner:
         # so they are memoized alongside the other prepared artifacts; repeated
         # (and cache-hit) queries skip the per-component eligibility scan.
         # The histogram version is part of the key: a completed run that
-        # records fresh subproblem-size evidence re-opens the shard/branch
-        # decision instead of serving a plan made from the sampled estimate.
+        # records fresh branch-count evidence re-opens the parallel gate.
         cache_key = (self.config, gamma_fraction(gamma), int(theta),
                      algorithm, branching, kernel, workers, parallel,
                      prepared.histogram_version)
@@ -267,7 +245,7 @@ class QueryPlanner:
                    and parallel != "none"
                    and (core_kept >= self.config.parallel_min_vertices
                         or observed_branches >= self.config.parallel_min_branches
-                        or parallel in ("shard", "branch")))
+                        or parallel == "branch"))
         effective_workers = requested if fan_out else 1
         if fan_out:
             if core_kept >= self.config.parallel_min_vertices:
@@ -281,6 +259,8 @@ class QueryPlanner:
                     f"(>= {self.config.parallel_min_branches}): enough work to "
                     f"fan out to {effective_workers} workers despite the "
                     f"{core_kept}-vertex core")
+            else:
+                reasons.append("parallel mode 'branch' forced by the caller")
         elif parallel == "none" and requested > 1 and chosen == "dcfastqc":
             reasons.append("parallelism disabled by the caller (parallel='none')")
         elif workers is not None and workers > 1:
@@ -289,57 +269,6 @@ class QueryPlanner:
                 f"{core_kept} vertices is below the threshold "
                 f"({self.config.parallel_min_vertices}) or the algorithm is "
                 "not divide-and-conquer")
-
-        # Shard vs branch: the skew rule shared with the runtime.  Even a
-        # forced mode records the histogram evidence so explain() shows what
-        # the planner knew.
-        parallel_mode = "none"
-        skew_ratio = 0.0
-        skew_threshold = 0.0
-        largest_subproblem = 0
-        histogram_source = "none"
-        if fan_out:
-            skew_threshold = (1.0 + BRANCH_OVERHEAD) / effective_workers
-            # Evidence quality ladder: per-subproblem branch counts from a
-            # completed run measure the work directly (linear weights); ball
-            # sizes — observed or sampled — only proxy it quadratically, and a
-            # descending chain of similar-size balls can hide a dominant
-            # subtree that branch counts expose.
-            histogram = branch_evidence
-            if histogram is not None:
-                histogram_source = "observed-branches"
-                largest_work, total_work = branch_histogram_skew(histogram)
-            else:
-                histogram = prepared.subproblem_histogram(gamma, theta)
-                if histogram is not None:
-                    histogram_source = "observed-sizes"
-                else:
-                    histogram = prepared.estimate_subproblem_histogram(gamma, theta)
-                    histogram_source = "estimated"
-                largest_work, total_work = histogram_skew(histogram)
-            skew_ratio = largest_work / total_work if total_work else 0.0
-            largest_subproblem = histogram.max
-            unit = ("branches" if histogram_source == "observed-branches"
-                    else "vertices")
-            if parallel in ("shard", "branch"):
-                parallel_mode = parallel
-                reasons.append(f"parallel mode {parallel!r} forced by the caller")
-            elif branch_mode_wins(largest_work, total_work, effective_workers):
-                parallel_mode = "branch"
-                reasons.append(
-                    f"largest subproblem ({largest_subproblem} {unit}, "
-                    f"{histogram_source} histogram) holds {skew_ratio:.0%} of "
-                    f"the estimated work >= threshold {skew_threshold:.0%}: "
-                    "sharding would serialize on it, so work-stealing branch "
-                    "parallelism splits inside it")
-            else:
-                parallel_mode = "shard"
-                reasons.append(
-                    f"subproblem sizes are even (largest holds "
-                    f"{skew_ratio:.0%} of the estimated work < threshold "
-                    f"{skew_threshold:.0%}, {histogram_source} histogram): "
-                    "whole-subproblem sharding parallelises without steal "
-                    "overhead")
 
         estimated_cost = self._estimate_cost(prepared, core_kept, chosen)
         if core_kept < theta or bound < theta:
@@ -352,10 +281,6 @@ class QueryPlanner:
             gamma=gamma, theta=theta, algorithm=chosen, branching=branching,
             framework=framework, kernel=kernel,
             parallel=fan_out, workers=effective_workers,
-            parallel_mode=parallel_mode, skew_ratio=skew_ratio,
-            skew_threshold=skew_threshold,
-            largest_subproblem=largest_subproblem,
-            histogram_source=histogram_source,
             fingerprint=prepared.fingerprint,
             graph_vertices=prepared.graph.vertex_count,
             graph_edges=prepared.graph.edge_count,

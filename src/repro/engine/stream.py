@@ -167,7 +167,7 @@ class ResultStream(Iterator[frozenset]):
             algorithm=spec.algorithm if spec.algorithm != "auto" else self.plan.algorithm,
             branching=spec.branching or self.plan.branching,
             framework=spec.framework or self.plan.framework,
-            max_rounds=spec.max_rounds, maximality_filter=spec.maximality_filter,
+            kernel=spec.kernel, max_rounds=spec.max_rounds, maximality_filter=spec.maximality_filter,
             time_limit=spec.time_limit, max_results=spec.max_results,
             progress=self._progress, tracer=self.tracer)
         with self._cancel_lock:

@@ -13,8 +13,7 @@ from .topk import (
     top_k_summary,
 )
 from ..errors import QueryError
-from .parallel import (PARALLEL_MODES, ParallelDCFastQC, parallel_enumerate,
-                       run_compact_subproblem)
+from .parallel import PARALLEL_MODES, ParallelDCFastQC, parallel_enumerate
 from .stealing import (ForcedStealSchedule, WorkerCrash,
                        branch_parallel_enumerate)
 
@@ -27,7 +26,6 @@ __all__ = [
     "PARALLEL_MODES",
     "ParallelDCFastQC",
     "parallel_enumerate",
-    "run_compact_subproblem",
     "ForcedStealSchedule",
     "WorkerCrash",
     "branch_parallel_enumerate",

@@ -1,10 +1,10 @@
-"""Intra-subproblem work stealing over shared-memory compact subproblems.
+"""Work-stealing execution of DC subproblems over shared-memory payloads.
 
-:class:`~repro.extensions.parallel.ParallelDCFastQC` shards *whole* DC
-subproblems across a process pool, which serializes the run whenever one
-subproblem dominates — the common case on skewed degree distributions, where
-the hub vertex's 2-hop ball holds most of the work.  This module parallelises
-*inside* a subproblem: the explicit work-stack driver
+This is the one pool :class:`~repro.extensions.parallel.ParallelDCFastQC`
+runs subproblems on.  Whole subproblems are the initial tasks; when one of
+them dominates — the common case on skewed degree distributions, where the hub
+vertex's 2-hop ball holds most of the work — the pool also parallelises
+*inside* it: the explicit work-stack driver
 (:func:`repro.core.kernel.depth_first_enumerate`) exposes its pending subtrees,
 so an idle worker can steal one from the **bottom** of a busy worker's stack
 (the bottom-most entry roots the largest unexplored subtree — classic
@@ -17,11 +17,11 @@ Three properties keep stolen subtrees exact:
   of the masks and the graph, so the steal payload is just three ints —
   O(|S| + |C|) bits, not O(subgraph) — and the thief rebuilds identical
   ledgers with ``BranchState.from_branch``.
-* **The maximality halo travels with the subproblem.**  Workers attach the
+* **The maximality halo travels with the subproblem.**  Workers decode the
   :class:`~repro.core.dcfastqc.CompactSubproblem` (ball + one-hop halo
-  adjacency) from a shared-memory segment, so a thief's maximality filtering
-  decides exactly like the sequential driver's full-graph check, wherever the
-  subtree runs.
+  adjacency) from the run's shared-memory segment, so a thief's maximality
+  filtering decides exactly like the sequential driver's full-graph check,
+  wherever the subtree runs.
 * **Verdicts flow back.**  An ancestor's ``G[S]`` fallback emission depends on
   whether *any* descendant output a quasi-clique, so a donor parks the stolen
   subtree's parent frame (:class:`~repro.core.kernel.BranchFrame`) and the
@@ -31,11 +31,13 @@ Three properties keep stolen subtrees exact:
   sequential driver (each branch is expanded exactly once, somewhere).
 
 The process topology is one coordinator (the parent) plus N workers sharing a
-task queue.  Tasks are either subproblem roots (seeded by the coordinator) or
-stolen subtrees (published by donors directly onto the task queue); every task
-eventually produces exactly one ``done`` event, possibly long after the
-worker's local stack drained, and the coordinator routes thief verdicts back
-to donor inboxes.  Termination is announce/done accounting with out-of-order
+task queue.  The coordinator packs every subproblem into one shared-memory
+segment, so a task names its subproblem by index and a run holds O(1) file
+descriptors whatever the subproblem count.  Tasks are either subproblem roots
+(seeded by the coordinator) or stolen subtrees (published by donors directly
+onto the task queue); every task eventually produces exactly one ``done``
+event, possibly long after the worker's local stack drained, and the
+coordinator routes thief verdicts back to donor inboxes.  Termination is announce/done accounting with out-of-order
 tolerance (a thief's ``done`` may overtake the donor's ``steal`` announce).
 """
 
@@ -78,17 +80,23 @@ class WorkerCrash(ReproError):
 
 
 # ----------------------------------------------------------------------
-# Shared-memory codec: one segment per compact subproblem
+# Shared-memory codec: one segment per run, one blob per compact subproblem
 # ----------------------------------------------------------------------
-# Layout: header | ball adjacency rows | halo adjacency rows | labels pickle.
-# All rows are ``row_bytes`` wide (masks over ball indices), so a worker can
-# slice any row without parsing; labels are pickled once at the tail.
+# Blob layout: header | ball adjacency rows | halo adjacency rows | labels
+# pickle.  All rows are ``row_bytes`` wide (masks over ball indices), so a
+# worker can slice any row without parsing; labels are pickled once at the tail.
 _MAGIC = b"RQS1"
 _HEADER = struct.Struct("<4sIIIII")  # magic, ball, halo, row_bytes, root, labels_len
+# Segment layout: segment header | offset table | blobs.  Entry ``i`` of the
+# table is the ``(start, end)`` byte range of subproblem ``i``'s blob, so task
+# messages carry just the integer index.
+_SEGMENT_MAGIC = b"RQP1"
+_SEGMENT_HEADER = struct.Struct("<4sI")  # magic, subproblem count
+_OFFSET = struct.Struct("<QQ")  # blob start, blob end
 
 
 def encode_subproblem(subproblem: CompactSubproblem) -> bytes:
-    """Serialise a compact subproblem into the shared-memory segment layout."""
+    """Serialise a compact subproblem into its blob layout."""
     ball = len(subproblem.labels)
     halo = len(subproblem.halo_labels)
     row_bytes = max(1, (ball + 7) // 8)
@@ -150,61 +158,80 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 
 
 class SharedSubproblemStore:
-    """Coordinator-side owner of the per-subproblem shared-memory segments.
+    """Coordinator-side owner of a run's one shared-memory segment.
 
-    ``publish`` copies one encoded subproblem into a fresh segment and returns
-    its name (the *token* shipped in task messages); ``close`` unlinks every
-    segment — it runs in a ``finally`` so a crashed run leaves ``/dev/shm``
-    clean.
+    ``publish`` encodes every subproblem into a single fresh segment and
+    returns its name; workers address subproblems by their index in the
+    published sequence.  One segment means O(1) file descriptors per run,
+    whatever the subproblem count.  ``close`` unlinks the segment — it runs in
+    a ``finally`` so a crashed run leaves ``/dev/shm`` clean.
     """
 
     def __init__(self) -> None:
-        self._segments: dict[str, shared_memory.SharedMemory] = {}
-        self._sequence = 0
+        self._segment: shared_memory.SharedMemory | None = None
 
-    def publish(self, subproblem: CompactSubproblem) -> str:
-        blob = encode_subproblem(subproblem)
-        self._sequence += 1
-        name = (f"{SEGMENT_PREFIX}-{os.getpid()}-{self._sequence}-"
-                f"{os.urandom(3).hex()}")
-        segment = shared_memory.SharedMemory(name=name, create=True,
-                                             size=len(blob))
-        segment.buf[:len(blob)] = blob
-        self._segments[segment.name] = segment
-        return segment.name
+    def publish(self, subproblems) -> str:
+        blobs = [encode_subproblem(subproblem) for subproblem in subproblems]
+        parts = [_SEGMENT_HEADER.pack(_SEGMENT_MAGIC, len(blobs))]
+        start = _SEGMENT_HEADER.size + _OFFSET.size * len(blobs)
+        for blob in blobs:
+            parts.append(_OFFSET.pack(start, start + len(blob)))
+            start += len(blob)
+        payload = b"".join(parts + blobs)
+        name = f"{SEGMENT_PREFIX}-{os.getpid()}-{os.urandom(4).hex()}"
+        self._segment = shared_memory.SharedMemory(name=name, create=True,
+                                                    size=len(payload))
+        self._segment.buf[:len(payload)] = payload
+        return self._segment.name
 
     def close(self) -> None:
-        for segment in self._segments.values():
-            try:
-                segment.close()
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._segments.clear()
+        if self._segment is None:
+            return
+        try:
+            self._segment.close()
+            self._segment.unlink()
+        except FileNotFoundError:  # pragma: no cover - already gone
+            pass
+        self._segment = None
 
 
 class SubproblemCache:
-    """Worker-side attach-once cache: token -> decoded subproblem."""
+    """Worker-side view of a run's segment: index -> decoded subproblem.
 
-    def __init__(self) -> None:
-        self._attached: dict[str, tuple] = {}
+    The segment is attached once, on first use, and each subproblem is
+    decoded the first time a task names it.
+    """
 
-    def get(self, token: str) -> CompactSubproblem:
-        hit = self._attached.get(token)
+    def __init__(self, name: str) -> None:
+        self._name = name
+        self._segment: shared_memory.SharedMemory | None = None
+        self._decoded: dict[int, CompactSubproblem] = {}
+
+    def get(self, index: int) -> CompactSubproblem:
+        hit = self._decoded.get(index)
         if hit is not None:
-            return hit[1]
-        segment = _attach_segment(token)
-        subproblem = decode_subproblem(segment.buf)
-        self._attached[token] = (segment, subproblem)
+            return hit
+        if self._segment is None:
+            self._segment = _attach_segment(self._name)
+        buffer = self._segment.buf
+        magic, count = _SEGMENT_HEADER.unpack_from(buffer, 0)
+        if magic != _SEGMENT_MAGIC or not 0 <= index < count:
+            raise ReproError(f"no subproblem {index} in segment {self._name}")
+        start, end = _OFFSET.unpack_from(
+            buffer, _SEGMENT_HEADER.size + _OFFSET.size * index)
+        with buffer[start:end] as view:
+            subproblem = decode_subproblem(view)
+        self._decoded[index] = subproblem
         return subproblem
 
     def close(self) -> None:
-        for segment, _ in self._attached.values():
+        if self._segment is not None:
             try:
-                segment.close()
+                self._segment.close()
             except Exception:  # pragma: no cover - shutdown best-effort
                 pass
-        self._attached.clear()
+        self._segment = None
+        self._decoded.clear()
 
 
 # ----------------------------------------------------------------------
@@ -272,14 +299,15 @@ class _BranchWorkerConfig:
     kernel: str
     poll_period: int
     steal_schedule: object | None  # picklable callable(runtime) -> bool
+    segment: str  # name of the run's shared-memory subproblem segment
 
 
 class _WorkerRuntime:
     """Everything one branch-parallel worker process owns.
 
-    One :class:`FastQC` engine per attached subproblem (reused across tasks of
+    One :class:`FastQC` engine per decoded subproblem (reused across tasks of
     that subproblem, so per-worker ``_seen_masks`` dedup and statistics
-    accumulate exactly like a pool worker's); one global emission buffer
+    accumulate across them); one global emission buffer
     flushed with each ``done`` event; and a ``parked`` table mapping published
     steal ids to the frames awaiting the thief's verdict.
     """
@@ -292,12 +320,12 @@ class _WorkerRuntime:
         self.inbox = inbox
         self.hungry = hungry
         self.config = config
-        self.cache = SubproblemCache()
+        self.cache = SubproblemCache(config.segment)
         self.scheduler = StealScheduler(self, period=config.poll_period)
-        self.engines: dict[str, FastQC] = {}
+        self.engines: dict[int, FastQC] = {}
         self.emissions: list[frozenset] = []
         self.parked: dict[str, tuple] = {}
-        self.active_task: tuple[str, str] | None = None  # (task_id, token)
+        self.active_task: tuple[str, int] | None = None  # (task_id, index)
         self.steal_sequence = 0
         self.cooldown = 0
         self.busy_seconds = 0.0
@@ -305,10 +333,10 @@ class _WorkerRuntime:
         self.steals_published = 0
 
     # -- engine/task plumbing ------------------------------------------
-    def engine_for(self, token: str) -> FastQC:
-        engine = self.engines.get(token)
+    def engine_for(self, index: int) -> FastQC:
+        engine = self.engines.get(index)
         if engine is None:
-            subproblem = self.cache.get(token)
+            subproblem = self.cache.get(index)
             graph = subproblem.build_graph()
             maximality = (subproblem.build_maximality_graph()
                           if subproblem.halo_labels else graph)
@@ -317,11 +345,11 @@ class _WorkerRuntime:
                             kernel=self.config.kernel,
                             maximality_graph=maximality,
                             on_output=self.emissions.append)
-            self.engines[token] = engine
+            self.engines[index] = engine
         return engine
 
     def bind_root_frame(self, root_frame) -> None:
-        task_id, _token = self.active_task
+        task_id, _index = self.active_task
         origin = self._origin_of(task_id)
 
         def task_resolved(found: bool, _task_id=task_id, _origin=origin) -> None:
@@ -346,11 +374,11 @@ class _WorkerRuntime:
         self.emissions.clear()
         return flushed
 
-    def run_task(self, task_id: str, token: str, s_mask: int, c_mask: int,
+    def run_task(self, task_id: str, index: int, s_mask: int, c_mask: int,
                  d_mask: int) -> None:
         fault_point("worker.task")
-        engine = self.engine_for(token)
-        self.active_task = (task_id, token)
+        engine = self.engine_for(index)
+        self.active_task = (task_id, index)
         started = time.perf_counter()
         engine.enumerate_branch(Branch(s_mask, c_mask, d_mask),
                                 scheduler=self.scheduler)
@@ -379,12 +407,12 @@ class _WorkerRuntime:
         self.steal_sequence += 1
         steal_id = f"{self.worker_id}:{self.steal_sequence}"
         task_id = f"steal-{steal_id}"
-        _active_id, token = self.active_task
+        _active_id, index = self.active_task
         self.parked[steal_id] = (frame, scheduler.close)
         # Announce first so the coordinator learns of the new task before any
         # chance of seeing its done; it still tolerates the reverse order.
         self.events.put(("steal", task_id))
-        self.tasks.put(("task", task_id, token,
+        self.tasks.put(("task", task_id, index,
                         state.s_mask, state.c_mask, state.d_mask))
         self.steals_published += 1
         return True
@@ -422,8 +450,8 @@ class _WorkerRuntime:
             idle_since = None
             if message[0] == "stop":
                 return
-            _kind, task_id, token, s_mask, c_mask, d_mask = message
-            self.run_task(task_id, token, s_mask, c_mask, d_mask)
+            _kind, task_id, index, s_mask, c_mask, d_mask = message
+            self.run_task(task_id, index, s_mask, c_mask, d_mask)
 
     def farewell(self) -> None:
         """Send this worker's accumulated statistics and telemetry."""
@@ -476,8 +504,8 @@ def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
     ``workers``, ``worker_branches``).
 
     Raises :class:`WorkerCrash` when a worker dies mid-run; the caller is
-    expected to fall back to the sequential driver.  Shared-memory segments
-    are unlinked on every path, including crashes.
+    expected to fall back to the sequential driver.  The run's one
+    shared-memory segment is unlinked on every path, including crashes.
     """
     if workers < 2:
         raise ValueError("branch-parallel enumeration needs >= 2 workers")
@@ -488,16 +516,7 @@ def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
     events = context.Queue()
     inboxes = [context.Queue() for _ in range(workers)]
     hungry = context.Value("i", 0)
-    config = _BranchWorkerConfig(gamma=gamma, theta=theta, branching=branching,
-                                 kernel=kernel, poll_period=poll_period,
-                                 steal_schedule=steal_schedule)
-    processes = [
-        context.Process(target=_branch_worker_main,
-                        args=(index, tasks, events, inboxes[index], hungry,
-                              config),
-                        daemon=True)
-        for index in range(workers)
-    ]
+    processes: list = []
     started = time.perf_counter()
     results: set[frozenset] = set()
     statistics = SearchStatistics()
@@ -505,19 +524,30 @@ def branch_parallel_enumerate(subproblems, gamma: float, theta: int, *,
                  "workers": workers, "wall_seconds": 0.0,
                  "worker_branches": {}}
     try:
-        # Publish every segment *before* forking: the first registration
+        # Publish the segment *before* forking: the first registration
         # lazily spawns the parent's resource-tracker process, and workers
         # must inherit that tracker — a worker whose first shm registration
         # happens post-fork with no inherited tracker would spawn a private
-        # one that tries to "clean up" the parent's segments when it exits.
+        # one that tries to "clean up" the parent's segment when it exits.
+        config = _BranchWorkerConfig(gamma=gamma, theta=theta,
+                                     branching=branching, kernel=kernel,
+                                     poll_period=poll_period,
+                                     steal_schedule=steal_schedule,
+                                     segment=store.publish(subproblems))
         announced: set[str] = set()
         for index, subproblem in enumerate(subproblems):
-            token = store.publish(subproblem)
             root = subproblem.initial_branch()
             task_id = f"init-{index}"
             announced.add(task_id)
-            tasks.put(("task", task_id, token,
+            tasks.put(("task", task_id, index,
                        root.s_mask, root.c_mask, root.d_mask))
+        processes = [
+            context.Process(target=_branch_worker_main,
+                            args=(worker_id, tasks, events, inboxes[worker_id],
+                                  hungry, config),
+                            daemon=True)
+            for worker_id in range(workers)
+        ]
         for process in processes:
             process.start()
         outstanding = len(announced)

@@ -90,7 +90,7 @@ class QuasiCliqueStream(Iterator[frozenset]):
 
     def __init__(self, graph: Graph, gamma: float, theta: int, *,
                  algorithm: str = "auto", branching: str | None = None,
-                 framework: str | None = None,
+                 framework: str | None = None, kernel: str = "ledger",
                  max_rounds: int = DEFAULT_MAX_ROUNDS,
                  maximality_filter: bool = True,
                  time_limit: float | None = None,
@@ -101,7 +101,7 @@ class QuasiCliqueStream(Iterator[frozenset]):
         self.budget = QueryBudget(time_limit, max_results)
         self.enumerator = build_enumerator(
             graph, gamma, theta, algorithm=self.algorithm, branching=branching,
-            framework=self.framework, max_rounds=max_rounds,
+            framework=self.framework, kernel=kernel, max_rounds=max_rounds,
             maximality_filter=maximality_filter, should_stop=self.budget.expired,
             progress=progress, tracer=tracer)
         self.theta = theta
@@ -190,7 +190,7 @@ def stream_maximal_quasi_cliques(graph: Graph, gamma: float, theta: int,
     """Functional convenience: a :class:`QuasiCliqueStream` over ``graph``.
 
     ``options`` are the keyword parameters of :class:`QuasiCliqueStream`
-    (algorithm, branching, framework, max_rounds, maximality_filter,
+    (algorithm, branching, framework, kernel, max_rounds, maximality_filter,
     time_limit, max_results).
     """
     return QuasiCliqueStream(graph, gamma, theta, **options)

@@ -6,7 +6,7 @@ of it die, stall, or lie:
 * :mod:`repro.resilience.faults` — **deterministic fault injection**: a
   seeded, process-global :class:`~repro.resilience.faults.FaultPlan`
   (``REPRO_FAULTS`` env or programmatic) with named sites registered at the
-  hot paths (``serve.write_frame``, ``engine.subproblem``, ``worker.task``,
+  hot paths (``serve.write_frame``, ``serve.enumerate``, ``worker.task``,
   ...).  Rules raise, delay, truncate writes, drop connections, or kill the
   process on the Nth hit, and every fired fault is counted in
   ``repro_faults_injected_total{site=}`` so chaos tests can assert the fault

@@ -22,7 +22,7 @@ With no plan installed a site is a near-no-op (one global load and an
 A :class:`FaultPlan` arms sites with rules parsed from the ``REPRO_FAULTS``
 environment variable or built programmatically::
 
-    REPRO_FAULTS="engine.subproblem:raise:after=2;serve.write_frame:drop:times=3"
+    REPRO_FAULTS="worker.task:raise:after=2;serve.write_frame:drop:times=3"
 
 Rule syntax: ``site:action[:key=value]...``, ``;``-separated.  Actions:
 
@@ -73,7 +73,6 @@ ACTIONS = ("raise", "delay", "truncate", "drop", "kill")
 #: canonical matrix chaos tests parametrize over.
 KNOWN_SITES = (
     "worker.task",          # branch-parallel steal worker, per received task
-    "engine.subproblem",    # run_compact_subproblem (pool workers)
     "serve.enumerate",      # ReproService flight leader, before the stream
     "serve.write_frame",    # every protocol frame write (drop/truncate)
     "client.connect",       # ServeClient socket connect
@@ -135,7 +134,7 @@ class FaultPlan:
         return self
 
     def rule(self, site: str, action: str, **kwargs) -> "FaultPlan":
-        """Fluent helper: ``plan.rule("engine.subproblem", "raise", after=2)``."""
+        """Fluent helper: ``plan.rule("worker.task", "raise", after=2)``."""
         return self.add(FaultRule(site=site, action=action, **kwargs))
 
     def rules(self, site: str | None = None) -> list[FaultRule]:

@@ -273,12 +273,17 @@ class TestParallelField:
     def test_validation_rejects_unknown_mode(self):
         with pytest.raises(SpecError):
             QuerySpec(gamma=0.9, theta=4, parallel="threads")
+        # "shard" names no execution mode: rejected like any unknown value.
+        with pytest.raises(SpecError):
+            QuerySpec(gamma=0.9, theta=4, parallel="shard")
+        with pytest.raises(SpecError):
+            QuerySpec.from_json('{"gamma": 0.9, "theta": 4, "parallel": "shard"}')
 
     def test_excluded_from_cache_key(self):
         base = QuerySpec(gamma=0.9, theta=4)
         branch = dataclasses.replace(base, parallel="branch")
-        shard = dataclasses.replace(base, parallel="shard")
-        assert base.cache_key() == branch.cache_key() == shard.cache_key()
+        serial = dataclasses.replace(base, parallel="none")
+        assert base.cache_key() == branch.cache_key() == serial.cache_key()
 
     def test_json_roundtrip_omits_default(self):
         default = QuerySpec(gamma=0.9, theta=4)

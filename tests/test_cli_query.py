@@ -103,6 +103,30 @@ class TestQueryCommand:
         assert lines[-1]["delivered"] == 3 and lines[-1]["state"] == "complete"
 
 
+class TestIngestCommand:
+    @pytest.fixture
+    def twitter_file(self, tmp_path):
+        from repro.datasets import load_dataset
+
+        path = tmp_path / "twitter.txt"
+        write_edge_list(load_dataset("twitter"), path)
+        return str(path)
+
+    def test_json_query(self, twitter_file, capsys):
+        assert main(["ingest", twitter_file, "-g", "0.85", "-t", "6",
+                     "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["backend"] == "csr"
+        assert (report["vertices"], report["edges"]) == (420, 880)
+        assert (report["gamma"], report["theta"]) == (0.85, 6)
+        assert report["maximal"] == 3 and not report["truncated"]
+
+    def test_limit_caps_reported_answers(self, twitter_file, capsys):
+        assert main(["ingest", twitter_file, "-g", "0.85", "-t", "6",
+                     "--limit", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["maximal"] == 2
+
+
 class TestErrorMapping:
     """Satellite: ReproError exits with code 2 and a one-line message."""
 

@@ -388,23 +388,17 @@ class TestEngineMetrics:
         assert syncs.value() == before + 1
         assert mutations.value(op="add_edge") == mutations_before + 1
 
-    def test_parallel_workers_merge_into_registry(self):
+    def test_parallel_runs_are_counted_in_registry(self):
         from repro import ParallelDCFastQC
         from repro.core import dcfastqc_enumerate
 
         graph = planted_quasi_clique_graph(80, 160, [9, 8, 7], 0.9, seed=29)
-        subproblems = REGISTRY.counter("repro_parallel_subproblems_total")
-        branches = REGISTRY.counter("repro_parallel_worker_branches_total")
-        sizes = REGISTRY.histogram("repro_parallel_subproblem_sizes")
-        subproblems_before = subproblems.value()
-        branches_before = branches.value()
-        sizes_before = sizes.value().count
-        parallel = ParallelDCFastQC(graph, 0.9, 6, workers=2, chunk_size=4)
+        runs = REGISTRY.counter("repro_parallel_runs_total")
+        before = runs.value(mode="branch")
+        parallel = ParallelDCFastQC(graph, 0.9, 6, workers=2)
         result = parallel.enumerate()
         assert set(result) == set(dcfastqc_enumerate(graph, 0.9, 6))
-        assert subproblems.value() > subproblems_before
-        assert branches.value() >= branches_before
-        assert sizes.value().count > sizes_before
+        assert runs.value(mode="branch") == before + 1
 
 
 # ----------------------------------------------------------------------

@@ -75,13 +75,13 @@ class TestFaultPlan:
         plan = parse_plan("client.connect:raise:after=2;"
                           "serve.write_frame:drop:times=3;"
                           "worker.task:delay=0.25;"
-                          "engine.subproblem:raise:p=0.5:seed=7:times=0")
+                          "serve.enumerate:raise:p=0.5:seed=7:times=0")
         rules = {rule.site: rule for rule in plan.rules()}
         assert rules["client.connect"].after == 2
         assert rules["serve.write_frame"].times == 3
         assert rules["worker.task"].action == "delay"
         assert rules["worker.task"].delay == 0.25
-        assert rules["engine.subproblem"].p == 0.5
+        assert rules["serve.enumerate"].p == 0.5
 
     @pytest.mark.parametrize("text", ["nonsense", "site:explode",
                                       "site:raise:after=0", "site:raise:p=2",

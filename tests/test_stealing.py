@@ -11,6 +11,9 @@ shared-memory transport, natural hungry-driven stealing and crash fallback.
 """
 
 import glob
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -19,14 +22,14 @@ from repro.core.fastqc import FastQC
 from repro.core.stats import SizeHistogram
 from repro.engine.planner import PlannerConfig, QueryPlanner
 from repro.engine.prepared import PreparedGraph
-from repro.errors import FaultInjectedError
-from repro.extensions.parallel import (ParallelDCFastQC, branch_histogram_skew,
-                                       branch_mode_wins, histogram_skew,
-                                       run_compact_subproblem)
+from repro.extensions import parallel as parallel_module
+from repro.extensions.parallel import LAST_PARALLEL_RUN, ParallelDCFastQC
 from repro.extensions.stealing import (ForcedStealSchedule, InlineStealRuntime,
                                        SEGMENT_PREFIX, SharedSubproblemStore,
-                                       SubproblemCache, branch_parallel_enumerate,
+                                       SubproblemCache, WorkerCrash,
+                                       branch_parallel_enumerate,
                                        decode_subproblem, encode_subproblem)
+from repro.obs.metrics import REGISTRY
 from repro.graph.generators import barabasi_albert
 from repro.resilience.faults import install_plan, reset_plan
 from repro.settrie.filter import filter_non_maximal
@@ -42,11 +45,17 @@ def _shm_segments():
     return glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")
 
 
+def _oracle(subproblem, gamma=GAMMA, theta=THETA):
+    """A sequential FastQC over one compact subproblem (ball + halo)."""
+    return FastQC(subproblem.build_graph(), gamma, theta,
+                  maximality_graph=subproblem.build_maximality_graph())
+
+
 def _sequential_answer(graph, gamma=GAMMA, theta=THETA):
     candidates = set()
     for subproblem in _subproblems(graph, gamma, theta):
-        chunk, _, _ = run_compact_subproblem(subproblem, gamma, theta)
-        candidates.update(chunk)
+        candidates.update(_oracle(subproblem, gamma, theta).enumerate_branch(
+            subproblem.initial_branch()))
     return candidates
 
 
@@ -76,17 +85,25 @@ class TestCodec:
             assert clone.halo_adjacency == subproblem.halo_adjacency
 
     def test_store_publish_attach_and_unlink(self, subproblems):
+        assert len(subproblems) > 1
+        before = set(_shm_segments())
         store = SharedSubproblemStore()
-        cache = SubproblemCache()
         try:
-            tokens = [store.publish(s) for s in subproblems[:4]]
-            assert len(_shm_segments()) >= len(tokens)
-            for token, original in zip(tokens, subproblems[:4]):
-                assert cache.get(token).labels == original.labels
-            # Attach-once: repeated gets hand back the same decoded object.
-            assert cache.get(tokens[0]) is cache.get(tokens[0])
+            name = store.publish(subproblems)
+            # Every subproblem lives in one segment: O(1) descriptors per run.
+            assert set(_shm_segments()) - before == {f"/dev/shm/{name}"}
+            cache = SubproblemCache(name)
+            try:
+                for index, original in enumerate(subproblems):
+                    clone = cache.get(index)
+                    assert clone.labels == original.labels
+                    assert clone.adjacency_masks == original.adjacency_masks
+                    assert clone.halo_adjacency == original.halo_adjacency
+                # Decode-once: repeated gets hand back the same object.
+                assert cache.get(0) is cache.get(0)
+            finally:
+                cache.close()
         finally:
-            cache.close()
             store.close()
         assert _shm_segments() == []
 
@@ -153,8 +170,9 @@ class TestBranchParallel:
     def test_branch_counts_add_up_to_sequential(self, graph, subproblems):
         sequential_branches = 0
         for subproblem in subproblems:
-            _, _, stats = run_compact_subproblem(subproblem, GAMMA, THETA)
-            sequential_branches += stats.branches_explored
+            oracle = _oracle(subproblem)
+            oracle.enumerate_branch(subproblem.initial_branch())
+            sequential_branches += oracle.statistics.branches_explored
         _, stats, _ = branch_parallel_enumerate(
             subproblems, GAMMA, THETA, workers=3,
             steal_schedule=ForcedStealSchedule(every=2))
@@ -162,79 +180,83 @@ class TestBranchParallel:
 
 
 # ----------------------------------------------------------------------
-# Crash recovery: a dead pool or steal worker costs time, never the answer
+# Crash recovery: a dead or failing steal worker costs time, never the answer
 # ----------------------------------------------------------------------
 class TestCrashRecovery:
-    @pytest.mark.parametrize("mode, plan, raises", [
-        ("branch", "worker.task:kill:times=1", None),
-        ("shard", "engine.subproblem:kill:times=1", None),
-        # A worker-side exception is not a crash: it surfaces typed.
-        ("shard", "engine.subproblem:raise:times=1", FaultInjectedError),
-    ], ids=["branch-kill", "shard-kill", "shard-raise"])
+    @pytest.mark.parametrize("plan", [
+        "worker.task:kill:times=1",
+        "worker.task:raise:times=1",
+    ], ids=["branch-kill", "branch-raise"])
     def test_killed_worker_falls_back_sequential_without_shm_leak(
-            self, graph, mode, plan, raises):
+            self, graph, plan):
         expected = filter_non_maximal(
             sorted(_sequential_answer(graph),
                    key=lambda h: (-len(h), sorted(map(str, h)))),
             theta=THETA)
         install_plan(plan)
         try:
-            # chunk_size=1 forces a real pool even for few subproblems.
-            runner = ParallelDCFastQC(graph, GAMMA, THETA, workers=2,
-                                      chunk_size=1, mode=mode)
-            if raises is None:
-                answers = runner.find_maximal()
-            else:
-                with pytest.raises(raises):
-                    runner.find_maximal()
+            runner = ParallelDCFastQC(graph, GAMMA, THETA, workers=2)
+            answers = runner.find_maximal()
         finally:
             reset_plan()
         assert _shm_segments() == []
-        if raises is None:
-            assert runner.mode_selected == "sequential"
-            assert sorted(map(sorted, answers)) == sorted(map(sorted, expected))
+        assert runner.mode_selected == "sequential"
+        assert sorted(map(sorted, answers)) == sorted(map(sorted, expected))
+
+    def test_fallback_is_recorded_not_silent(self, graph, monkeypatch):
+        def _crash(*args, **kwargs):
+            raise WorkerCrash("worker pid=1 died (exitcode=-9)")
+
+        runs = REGISTRY.counter("repro_parallel_runs_total")
+        before = runs.value(mode="fallback")
+        ParallelDCFastQC(graph, GAMMA, THETA, workers=2).enumerate()
+        assert LAST_PARALLEL_RUN["mode"] == "branch"
+        monkeypatch.setattr(parallel_module, "branch_parallel_enumerate", _crash)
+        runner = ParallelDCFastQC(graph, GAMMA, THETA, workers=2)
+        assert set(runner.enumerate()) == _sequential_answer(graph)
+        assert runner.mode_selected == "sequential"
+        assert LAST_PARALLEL_RUN == {
+            "mode": "sequential",
+            "fallback": "WorkerCrash: worker pid=1 died (exitcode=-9)"}
+        assert runs.value(mode="fallback") == before + 1
+
+    def test_descriptor_limit_does_not_force_a_fallback(self):
+        # One segment per run, not per subproblem: a graph with ~10^3
+        # subproblems still runs in the pool under a 64-descriptor limit.
+        script = textwrap.dedent("""
+            import resource
+            _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
+            from repro.core.dcfastqc import DCFastQC
+            from repro.extensions.parallel import ParallelDCFastQC
+            from repro.graph.generators import barabasi_albert
+            graph = barabasi_albert(3000, attachment=6, seed=1)
+            runner = ParallelDCFastQC(graph, 0.8, 4, workers=2)
+            answers = set(runner.enumerate())
+            assert runner.mode_selected == "branch", runner.mode_selected
+            assert answers == set(DCFastQC(graph, 0.8, 4).enumerate())
+        """)
+        completed = subprocess.run([sys.executable, "-c", script],
+                                   capture_output=True, text=True, timeout=300)
+        assert completed.returncode == 0, completed.stderr
+        assert _shm_segments() == []
 
 
 # ----------------------------------------------------------------------
-# Satellite 1: no pointless pools
+# No pointless pools
 # ----------------------------------------------------------------------
 class TestInProcessFallback:
     def test_workers_one_never_spawns_a_pool(self, graph, monkeypatch):
-        import repro.extensions.parallel as parallel_module
-
         def _boom(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("workers=1 must not create a process pool")
+            raise AssertionError("workers=1 must not create a worker pool")
 
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _boom)
         monkeypatch.setattr(parallel_module, "branch_parallel_enumerate", _boom)
         runner = ParallelDCFastQC(graph, GAMMA, THETA, workers=1)
         answers = runner.enumerate()
         assert runner.mode_selected == "sequential"
         assert set(answers) == _sequential_answer(graph)
 
-    def test_single_subproblem_runs_inline_under_shard(self, monkeypatch):
-        import repro.extensions.parallel as parallel_module
-
-        # A small clique decomposes into fewer subproblems than half a pool
-        # chunk: shard mode must keep them in-process instead of paying pool
-        # startup for work it cannot spread.
-        from repro.graph.graph import Graph
-        clique = Graph()
-        for u in range(6):
-            for v in range(u + 1, 6):
-                clique.add_edge(u, v)
-
-        def _boom(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("a handful of subproblems must not create a pool")
-
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _boom)
-        runner = ParallelDCFastQC(clique, 0.9, 4, workers=4, mode="shard")
-        answers = runner.enumerate()
-        assert runner.mode_selected == "sequential"
-        assert frozenset(range(6)) in set(answers)
-
     def test_cpu_count_none_defaults_to_one_worker(self, monkeypatch):
-        import repro.extensions.parallel as parallel_module
         monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: None)
         runner = ParallelDCFastQC(barabasi_albert(30, attachment=3, seed=1),
                                   GAMMA, THETA)
@@ -242,99 +264,31 @@ class TestInProcessFallback:
 
 
 # ----------------------------------------------------------------------
-# Planner mode selection on synthetic histograms
+# The planner's parallel gate
 # ----------------------------------------------------------------------
-def _skewed_histogram(dominant=800, trivial=60):
-    histogram = SizeHistogram()
-    for _ in range(trivial):
-        histogram.record(4)
-    histogram.record(dominant)
-    return histogram
-
-
-def _uniform_histogram(size=24, count=64):
-    histogram = SizeHistogram()
-    for _ in range(count):
-        histogram.record(size)
-    return histogram
-
-
 class TestPlannerModeSelection:
-    def _planner(self):
-        return QueryPlanner(PlannerConfig(parallel_min_vertices=32,
-                                          max_workers=4))
-
-    def test_branch_mode_wins_rule(self):
-        largest, total = histogram_skew(_skewed_histogram())
-        assert branch_mode_wins(largest, total, workers=4)
-        largest, total = histogram_skew(_uniform_histogram())
-        assert not branch_mode_wins(largest, total, workers=4)
-
-    def test_observed_skew_selects_branch(self, graph):
-        prepared = PreparedGraph(graph)
-        prepared.record_subproblem_histogram(GAMMA, THETA, _skewed_histogram())
-        plan = self._planner().plan(prepared, GAMMA, THETA, workers=4)
-        assert plan.parallel and plan.parallel_mode == "branch"
-        assert plan.histogram_source == "observed-sizes"
-        assert plan.skew_ratio >= plan.skew_threshold
-        assert "branch" in plan.describe()
-
-    def test_observed_branch_counts_trump_the_size_proxy(self, graph):
-        # A descending chain of similar-size balls defeats any size-based work
-        # proxy (each is ~1/k of the quadratic total), yet the actual work can
-        # concentrate in one subtree.  Recorded branch counts expose it.
-        prepared = PreparedGraph(graph)
-        sizes = SizeHistogram()
-        for size in range(32, 8, -1):
-            sizes.record(size)
-        branches = SizeHistogram()
-        for _ in range(22):
-            branches.record(1000)
-        branches.record(50_000)
-        prepared.record_subproblem_histogram(GAMMA, THETA, sizes)
-        prepared.record_subproblem_histogram(GAMMA, THETA, branches,
-                                             kind="branches")
-        plan = self._planner().plan(prepared, GAMMA, THETA, workers=4)
-        assert plan.histogram_source == "observed-branches"
-        assert plan.parallel_mode == "branch"
-        assert "branches" in plan.describe()
-        # The size histogram alone would have (wrongly) kept shard mode.
-        largest, total = histogram_skew(sizes)
-        assert not branch_mode_wins(largest, total, workers=4)
-        largest, total = branch_histogram_skew(branches)
-        assert branch_mode_wins(largest, total, workers=4)
-
-    def test_observed_uniform_selects_shard(self, graph):
-        prepared = PreparedGraph(graph)
-        prepared.record_subproblem_histogram(GAMMA, THETA, _uniform_histogram())
-        plan = self._planner().plan(prepared, GAMMA, THETA, workers=4)
-        assert plan.parallel and plan.parallel_mode == "shard"
-        assert plan.skew_ratio < plan.skew_threshold
-
-    def test_estimated_histogram_backs_the_cold_decision(self, graph):
-        plan = self._planner().plan(PreparedGraph(graph), GAMMA, THETA,
-                                    workers=4)
-        assert plan.parallel
-        assert plan.histogram_source == "estimated"
-        assert plan.parallel_mode in ("shard", "branch")
-
     def test_forced_modes_and_none(self, graph):
         prepared = PreparedGraph(graph)
-        planner = self._planner()
-        assert planner.plan(prepared, GAMMA, THETA, workers=4,
-                            parallel="branch").parallel_mode == "branch"
-        assert planner.plan(prepared, GAMMA, THETA, workers=4,
-                            parallel="shard").parallel_mode == "shard"
+        planner = QueryPlanner(PlannerConfig(max_workers=4))
+        forced = planner.plan(prepared, GAMMA, THETA, workers=4,
+                              parallel="branch")
+        assert forced.parallel and forced.parallel_mode == "branch"
+        assert "branch" in forced.describe()
         disabled = planner.plan(prepared, GAMMA, THETA, workers=4,
                                 parallel="none")
         assert not disabled.parallel and disabled.parallel_mode == "none"
+        with pytest.raises(ValueError):
+            planner.plan(prepared, GAMMA, THETA, workers=4, parallel="shard")
 
     def test_new_observation_invalidates_the_plan_memo(self, graph):
         prepared = PreparedGraph(graph)
-        planner = self._planner()
+        planner = QueryPlanner()
         cold = planner.plan(prepared, GAMMA, THETA, workers=4)
-        assert cold.histogram_source == "estimated"
-        prepared.record_subproblem_histogram(GAMMA, THETA, _skewed_histogram())
+        assert not cold.parallel and cold.parallel_mode == "none"
+        branches = SizeHistogram()
+        for _ in range(8):
+            branches.record(planner.config.parallel_min_branches // 8 + 1)
+        prepared.record_subproblem_histogram(GAMMA, THETA, branches)
         warm = planner.plan(prepared, GAMMA, THETA, workers=4)
-        assert warm.histogram_source == "observed-sizes"
-        assert warm.parallel_mode == "branch"
+        assert warm.parallel and warm.parallel_mode == "branch"
+        assert warm.workers == 4

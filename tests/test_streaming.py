@@ -57,6 +57,19 @@ class TestStreamingParity:
                                            spec.default_theta)
         assert set(stream) == set(engine_result.maximal_quasi_cliques)
 
+    def test_streams_run_the_spec_kernel(self):
+        from repro import Q
+
+        graph, spec = _fresh_query("twitter", kernel="reference")
+        expected = set(MQCEEngine().query(graph, spec).maximal_quasi_cliques)
+        engine_stream = MQCEEngine().stream(graph, spec)
+        assert set(engine_stream) == expected
+        assert engine_stream._inner.enumerator.kernel == "reference"
+        builder_stream = (Q(graph).gamma(spec.gamma).theta(spec.theta)
+                          .replace(kernel="reference").stream())
+        assert set(builder_stream) == expected
+        assert builder_stream.enumerator.kernel == "reference"
+
 
 class TestIncrementality:
     """Acceptance criterion: first yield arrives before enumeration completes."""
